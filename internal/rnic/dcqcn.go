@@ -58,6 +58,10 @@ type dcqcnState struct {
 	alphaEv sim.Event
 	rateEv  sim.Event
 
+	// Timer callbacks, built once: re-arming with a fresh closure would
+	// allocate on every expiry.
+	alphaFn, rateFn func()
+
 	// RateCuts counts CNP-triggered reductions (diagnostics).
 	RateCuts int64
 }
@@ -65,6 +69,7 @@ type dcqcnState struct {
 func newDCQCN(cfg *DCQCNConfig, eng *sim.Engine, lineBps int64, nic *NIC, qpn uint32) *dcqcnState {
 	s := &dcqcnState{cfg: cfg, eng: eng, lineBps: lineBps, nic: nic, qpn: qpn,
 		rc: lineBps, rt: lineBps, alpha: 1, lastCut: -1 << 60}
+	s.alphaFn, s.rateFn = s.onAlphaTimer, s.onRateTimer
 	return s
 }
 
@@ -107,23 +112,27 @@ func (s *dcqcnState) onCNP() {
 
 func (s *dcqcnState) armAlpha() {
 	s.eng.Cancel(s.alphaEv)
-	s.alphaEv = s.eng.After(s.cfg.AlphaTimer, func() {
-		s.alpha *= 1 - s.cfg.G
-		if s.alpha > 0.001 {
-			s.armAlpha()
-		}
-	})
+	s.alphaEv = s.eng.After(s.cfg.AlphaTimer, s.alphaFn)
+}
+
+func (s *dcqcnState) onAlphaTimer() {
+	s.alpha *= 1 - s.cfg.G
+	if s.alpha > 0.001 {
+		s.armAlpha()
+	}
 }
 
 func (s *dcqcnState) armRate() {
 	s.eng.Cancel(s.rateEv)
-	s.rateEv = s.eng.After(s.cfg.RateTimer, func() {
-		s.timerEvents++
-		s.increase()
-		if s.rc < s.lineBps {
-			s.armRate()
-		}
-	})
+	s.rateEv = s.eng.After(s.cfg.RateTimer, s.rateFn)
+}
+
+func (s *dcqcnState) onRateTimer() {
+	s.timerEvents++
+	s.increase()
+	if s.rc < s.lineBps {
+		s.armRate()
+	}
 }
 
 // onBytes feeds the byte counter from the transmit path.

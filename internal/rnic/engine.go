@@ -447,8 +447,6 @@ func (qp *QP) retransmitUnacked() {
 		// READs included: the re-enqueued job re-emits the request packet
 		// with its original PSN, and the responder re-services it
 		// idempotently (statelessly, from the PSN and length it carries).
-		j := n.pool.job()
-		j.qp, j.wr = qp, wr
-		n.enqueueJob(j)
+		n.enqueueJob(n.pool.wrJob(qp, wr))
 	}
 }

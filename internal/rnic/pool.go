@@ -16,6 +16,7 @@ type pools struct {
 	jobs  []*txJob
 	asms  []*assembly
 	reads []*readState
+	rcqes []*recvCQEPush
 }
 
 // poolsFor returns the engine's pool set, creating it on first use.
@@ -57,12 +58,24 @@ func (pl *pools) job() *txJob {
 	return &txJob{}
 }
 
+// wrJob returns a transmit job for wr, counting the reference so the WR's
+// owner can tell when the NIC is done with it (SendWR.Idle).
+func (pl *pools) wrJob(qp *QP, wr *SendWR) *txJob {
+	j := pl.job()
+	j.qp, j.wr = qp, wr
+	wr.jobs++
+	return j
+}
+
 // putJob reclaims a job. Idempotent: the engine's ownership hand-offs
 // (queue, current, in-flight closure) make double-release the dangerous
 // failure mode, so a pooled job is never pooled twice.
 func (pl *pools) putJob(j *txJob) {
 	if j.pooled {
 		return
+	}
+	if j.wr != nil {
+		j.wr.jobs--
 	}
 	*j = txJob{pooled: true}
 	pl.jobs = append(pl.jobs, j)
@@ -103,4 +116,38 @@ func (pl *pools) readState() *readState {
 func (pl *pools) putReadState(rs *readState) {
 	*rs = readState{}
 	pl.reads = append(pl.reads, rs)
+}
+
+// recvCQEPush is one scheduled receive completion: the CQE and the QP
+// whose receive CQ it lands on, with the engine callback built once when
+// the slot is first allocated. Slots, not a per-QP FIFO, because a QP
+// reset clears the ordering watermark, so a fresh completion may fire
+// before one scheduled earlier.
+type recvCQEPush struct {
+	pl   *pools
+	qp   *QP
+	cqe  CQE
+	fire func()
+}
+
+func (r *recvCQEPush) run() {
+	qp, cqe := r.qp, r.cqe
+	r.qp, r.cqe = nil, CQE{}
+	r.pl.rcqes = append(r.pl.rcqes, r)
+	qp.RecvCQ.push(cqe)
+}
+
+// recvCQE returns a completion slot for qp carrying cqe.
+func (pl *pools) recvCQE(qp *QP, cqe CQE) *recvCQEPush {
+	var r *recvCQEPush
+	if k := len(pl.rcqes) - 1; k >= 0 {
+		r = pl.rcqes[k]
+		pl.rcqes[k] = nil
+		pl.rcqes = pl.rcqes[:k]
+	} else {
+		r = &recvCQEPush{pl: pl}
+		r.fire = r.run
+	}
+	r.qp, r.cqe = qp, cqe
+	return r
 }

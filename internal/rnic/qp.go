@@ -162,6 +162,7 @@ type SendWR struct {
 	// internal
 	firstPSN, lastPSN uint32
 	packets           int
+	jobs              int32 // transmit jobs referencing the WR (Idle)
 	postedAt          sim.Time
 	startedAt         sim.Time
 	finishedAt        sim.Time
@@ -174,6 +175,13 @@ type SendWR struct {
 func (wr *SendWR) TxTimes() (posted, started, finished sim.Time) {
 	return wr.postedAt, wr.startedAt, wr.finishedAt
 }
+
+// Idle reports whether the NIC holds no transmit job for the WR. After
+// its completion an idle WR, and the Data it carries, may be reused for a
+// new post; a completed WR can still be busy when a go-back-N
+// retransmission was queued before the ack retired it, and that job would
+// re-emit the WR's packets.
+func (wr *SendWR) Idle() bool { return wr.jobs == 0 }
 
 // RecvWR is a receive-queue work request: a buffer for one incoming
 // message.
@@ -389,9 +397,7 @@ func (qp *QP) PostSend(wr *SendWR) error {
 	}
 	wr.postedAt = qp.nic.eng.Now()
 	qp.sq = append(qp.sq, wr)
-	j := qp.nic.pool.job()
-	j.qp, j.wr = qp, wr
-	qp.nic.enqueueJob(j)
+	qp.nic.enqueueJob(qp.nic.pool.wrJob(qp, wr))
 	return nil
 }
 

@@ -612,3 +612,58 @@ func TestDestroyQPFlushes(t *testing.T) {
 		t.Fatal("QP still registered after destroy")
 	}
 }
+
+// TestSendWRIdleTracksRetransmitJobs: a WR can complete while a go-back-N
+// retransmission job for it is still queued behind another QP's transfer.
+// Idle must report the WR busy until that stale job has run, because the
+// job re-reads the WR and its Data — an owner recycling the WR on its CQE
+// alone would corrupt the retransmitted packets.
+func TestSendWRIdleTracksRetransmitJobs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetransTimeout = 20 * sim.Microsecond
+	r := newRig(t, cfg)
+	qa2, qb2 := ConnectLoopback(r.a, r.b, 128)
+	postRecvN(t, r.qb, 1, 4096)
+	postRecvN(t, qb2, 1, 8<<20)
+	// Hold the acks back past the RTO.
+	r.b.FaultHook = func(p *fabric.Packet) (bool, sim.Duration) {
+		if h, ok := p.Payload.(*hdr); ok && h.Op == opAck {
+			return false, 50 * sim.Microsecond
+		}
+		return false, 0
+	}
+	small := &SendWR{ID: 1, Op: OpSend, Len: 128, Data: make([]byte, 128)}
+	big := &SendWR{ID: 2, Op: OpSend, Len: 4 << 20}
+	if !small.Idle() {
+		t.Fatal("fresh WR reports busy")
+	}
+	if err := r.qa.PostSend(small); err != nil {
+		t.Fatal(err)
+	}
+	if small.Idle() {
+		t.Fatal("posted WR reports idle")
+	}
+	if err := qa2.PostSend(big); err != nil {
+		t.Fatal(err)
+	}
+	busyAtCQE := false
+	for r.eng.Step() {
+		if r.qa.SendCQ.Len() > 0 {
+			busyAtCQE = !small.Idle()
+			break
+		}
+	}
+	if sc := r.qa.SendCQ.Poll(1); len(sc) != 1 || sc[0].WRID != 1 || sc[0].Status != StatusOK {
+		t.Fatalf("small send CQE: %+v", sc)
+	}
+	if r.a.Counters.Retransmits == 0 {
+		t.Fatal("RTO never fired: the scenario is vacuous")
+	}
+	if !busyAtCQE {
+		t.Fatal("WR reported idle at its CQE while a retransmission job still held it")
+	}
+	r.eng.Run()
+	if !small.Idle() || !big.Idle() {
+		t.Fatalf("WRs still busy after the NIC drained: small=%v big=%v", small.Idle(), big.Idle())
+	}
+}

@@ -381,7 +381,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		cqe.Addr = a.raddr
 	}
 	cost := n.Cfg.CompletionCost + n.touchQP(qp.QPN)
-	qp.pushRecvCQE(cost, func() { qp.RecvCQ.push(cqe) })
+	qp.pushRecvCQE(cost, n.pool.recvCQE(qp, cqe).fire)
 }
 
 // --- ack generation -------------------------------------------------------

@@ -82,7 +82,7 @@ type Channel struct {
 	tx *txWindow
 	rx *rxWindow
 
-	sendQ   []*pendingSend
+	sendQ   sendRing
 	pending map[uint64]*reqState // msgID → response waiter
 
 	recvBufs map[uint64]Buffer // recv WR id → buffer (per-channel mode)
@@ -94,7 +94,7 @@ type Channel struct {
 
 	recvSinceAck int
 	lastAckVal   uint64
-	ackEv        sim.Event
+	ackT         *ackTimer // armed delayed ack (nil = none)
 	nopInFlight  bool
 	nopAt        sim.Time // when the in-flight NOP was sent (re-arm deadline)
 	stallFlag    bool
@@ -192,7 +192,11 @@ type Channel struct {
 	OpenedAt sim.Time
 }
 
+// pendingSend is one outbound frame: a windowed message from enqueue
+// until its ack, or a control frame until its send CQE. Records are
+// pooled on the Context; see pool.go for the release rule.
 type pendingSend struct {
+	ch      *Channel // owner (nil for mux-plane control frames)
 	kind    msgKind
 	data    []byte
 	size    int
@@ -206,6 +210,101 @@ type pendingSend struct {
 	// response to a blame-sampled request (the remote stage mirror).
 	enqAt sim.Time
 	echo  *respEcho
+
+	// Transmission state. seq is the window sequence of the latest
+	// transmission; onAck (ps.acked) and onStaged (ps.stageDone) are the
+	// window's on-acked hook and the staging allocation's callback, built
+	// once per pooled record. wr and wire are the record's own SendWR
+	// and frame buffer; wrOut counts posted WRs whose CQE has not been
+	// dispatched, and ackDone marks the seq-ack (set at birth for control
+	// frames, which are window-exempt).
+	seq      uint64
+	onAck    func()
+	onStaged func(Buffer, error)
+	wr       rnic.SendWR
+	wire     []byte
+	wrOut    int32
+	ackDone  bool
+}
+
+// reset zeroes ps for reuse, keeping its prebuilt callbacks.
+func (ps *pendingSend) reset() {
+	onAck, onStaged := ps.onAck, ps.onStaged
+	*ps = pendingSend{onAck: onAck, onStaged: onStaged}
+}
+
+// acked is Algorithm 1's on_acked for a transmitted message: the record
+// leaves ch.sent, a staged rendezvous payload is freed and the tenant's
+// window slot returns.
+func (ps *pendingSend) acked() {
+	ch := ps.ch
+	c := ch.ctx
+	delete(ch.sent, ps.seq)
+	if ps.staged.Valid() {
+		c.Mem.Free(ps.staged)
+		ps.staged = Buffer{}
+	}
+	if t := ch.tenant; t != nil {
+		t.noteAcked(ch)
+	}
+	ps.ackDone = true
+	c.releaseSend(ps)
+}
+
+// sendRing is a channel's FIFO of queued sends. It keeps its capacity as
+// it drains: re-slicing the head off a slice walks the backing array
+// forward and forces the next append to reallocate.
+type sendRing struct {
+	buf     []*pendingSend // len is a power of two (or zero)
+	head, n uint32
+}
+
+func (r *sendRing) len() int { return int(r.n) }
+
+// at returns the i-th queued send, 0 being the head.
+func (r *sendRing) at(i int) *pendingSend {
+	return r.buf[(int(r.head)+i)&(len(r.buf)-1)]
+}
+
+func (r *sendRing) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 4
+	}
+	buf := make([]*pendingSend, size)
+	for i := 0; i < int(r.n); i++ {
+		buf[i] = r.at(i)
+	}
+	r.buf, r.head = buf, 0
+}
+
+func (r *sendRing) push(ps *pendingSend) {
+	if int(r.n) == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(int(r.head)+int(r.n))&(len(r.buf)-1)] = ps
+	r.n++
+}
+
+// pushFront puts ps at the head (requeueUnacked's replay).
+func (r *sendRing) pushFront(ps *pendingSend) {
+	if int(r.n) == len(r.buf) {
+		r.grow()
+	}
+	r.head = uint32((int(r.head) - 1) & (len(r.buf) - 1))
+	r.buf[r.head] = ps
+	r.n++
+}
+
+func (r *sendRing) pop() *pendingSend {
+	if r.n == 0 {
+		panic("xrdma: pop from an empty send queue")
+	}
+	ps := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = uint32((int(r.head) + 1) & (len(r.buf) - 1))
+	r.n--
+	return ps
 }
 
 type reqState struct {
@@ -756,12 +855,12 @@ func (ch *Channel) teardown(err error) {
 	}
 	ch.osReads = nil
 	ch.remoteWins = nil
-	for _, ps := range ch.sendQ {
-		if ps.staged.Valid() {
+	for i := 0; i < ch.sendQ.len(); i++ {
+		if ps := ch.sendQ.at(i); ps.staged.Valid() {
 			c.Mem.Free(ps.staged)
 		}
 	}
-	ch.sendQ = nil
+	ch.sendQ = sendRing{}
 	// Transmitted-but-unacked rendezvous payloads are still staged; a
 	// dead channel can never get their acks, so reclaim them here (the
 	// §V-A keepalive reclamation must leave no memory behind).
@@ -796,7 +895,7 @@ func (ch *Channel) teardown(err error) {
 	ch.pings = nil
 	ch.respCache = nil
 	ch.respOrder = nil
-	c.eng.Cancel(ch.ackEv)
+	ch.cancelAck()
 	// The QP (reset) goes to the cache for fast re-establishment. A
 	// mocked channel already surrendered its QP when it switched; a muxed
 	// channel never owned the shared QP; a lazy descriptor has none.
@@ -916,7 +1015,7 @@ func (ch *Channel) keepaliveCheck(now sim.Time) {
 	ch.ctx.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(ch.ctx.Node()), ch.qp.QPN, int64(ch.Peer), 0)
 	ch.ctx.tel.Trace.Instant("keepalive.probe", ch.ctx.track, now, int64(ch.Peer))
 	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
+	ch.ctx.flow.postDirect(ch.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
 		if ch.closed {
 			return
 		}
@@ -930,7 +1029,7 @@ func (ch *Channel) keepaliveCheck(now sim.Time) {
 			return
 		}
 		ch.lastComm = ch.ctx.eng.Now()
-	})
+	}})
 }
 
 // --- deadlock breaker (§V-B) --------------------------------------------------
@@ -956,7 +1055,7 @@ func (ch *Channel) deadlockCheck() {
 	} else if ch.health != HealthHealthy {
 		return
 	}
-	if len(ch.sendQ) == 0 || ch.tx.canSend() {
+	if ch.sendQ.len() == 0 || ch.tx.canSend() {
 		return
 	}
 	if ch.ctx.eng.Now().Sub(ch.lastProgress) < ch.ctx.cfg.DeadlockScan {
@@ -970,7 +1069,7 @@ func (ch *Channel) deadlockCheck() {
 	ch.ctx.Stats.NopsSent++
 	now := ch.ctx.eng.Now()
 	ch.ctx.tel.Flight.Trip(now, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.qp.QPN)
-	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(len(ch.sendQ)))
+	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(ch.sendQ.len()))
 	ch.sendCtrl(kindNop)
 }
 
@@ -1022,7 +1121,7 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 			c.Stats.ReqRetries++
 			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.qp.QPN, int64(id), int64(rs.retries))
 			c.tel.Trace.Instant("req.retry", c.track, now, int64(rs.retries))
-			ps := &pendingSend{kind: kindReq, data: rs.data, size: rs.size, msgID: id}
+			ps := c.newSend(ch, kindReq, rs.data, rs.size, id)
 			backoff := c.cfg.RetryBackoff << uint(rs.retries-1)
 			if backoff > 0 {
 				c.eng.AfterBg(backoff, func() {

@@ -35,7 +35,7 @@ type Context struct {
 	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
 
 	channels map[uint32]*Channel // by local QPN
-	wrCBs    map[uint64]func(rnic.CQE)
+	wrs      map[uint64]wrEntry  // posted send WRs by id (flowctl.go)
 	wrSeq    uint64
 	msgSeq   uint64
 
@@ -46,8 +46,19 @@ type Context struct {
 	onChannel func(*Channel)
 
 	// Reused CQE buffers: pollOnce drains into these so the poll loop is
-	// allocation-free (dispatch closures copy the CQE values they need).
+	// allocation-free (dispatch slots copy the CQE values they need).
 	scqeBuf, rcqeBuf []rnic.CQE
+
+	// Engine callbacks, built once in NewContext: scheduling a method
+	// value (c.pollTick) allocates a fresh closure per call, and these
+	// re-arm on every tick.
+	pollTickFn, eventWakeFn                         func()
+	keepaliveScanFn, deadlockScanFn, housekeepingFn func()
+
+	// Per-message state pools (pool.go), and the deadlock scan's reused
+	// channel snapshot.
+	pools     pools
+	scanChans []*Channel
 
 	// Hybrid polling state (§IV-B).
 	pollEv      sim.Event
@@ -205,7 +216,7 @@ func NewContext(o Options) *Context {
 		host:        o.Host,
 		cfg:         o.Config,
 		channels:    make(map[uint32]*Channel),
-		wrCBs:       make(map[uint64]func(rnic.CQE)),
+		wrs:         make(map[uint64]wrEntry),
 		rng:         sim.NewRNG(o.Seed ^ 0x9e37),
 		monitor:     o.Monitor,
 		tcp:         o.TCP,
@@ -216,6 +227,8 @@ func NewContext(o Options) *Context {
 		toff:        make(map[fabric.NodeID]sim.Duration),
 		eventFD:     int(o.Host.ID)*16 + 3,
 	}
+	c.pollTickFn, c.eventWakeFn = c.pollTick, c.eventWake
+	c.keepaliveScanFn, c.deadlockScanFn, c.housekeepingFn = c.keepaliveTick, c.deadlockTick, c.housekeepingTick
 	c.tel = telemetry.For(c.eng)
 	c.track = fmt.Sprintf("xrdma.%d", c.host.ID)
 	c.rttHist = c.tel.Reg.Histogram(c.track + ".rtt_ns")
@@ -394,7 +407,7 @@ func (c *Context) schedulePoll(d sim.Duration) {
 	if c.pollEv.Pending() {
 		return
 	}
-	c.pollEv = c.eng.After(d, c.pollTick)
+	c.pollEv = c.eng.After(d, c.pollTickFn)
 }
 
 // spinDetect is how quickly a busy-polling thread notices a fresh CQE.
@@ -411,12 +424,7 @@ func (c *Context) wake() {
 		}
 		c.wakePending = true
 		c.Stats.EventWakes++
-		c.eng.After(2*sim.Microsecond, func() {
-			c.wakePending = false
-			c.eventMode = false
-			c.idlePolls = 0
-			c.schedulePoll(0)
-		})
+		c.eng.After(2*sim.Microsecond, c.eventWakeFn)
 		return
 	}
 	soon := c.eng.Now().Add(spinDetect)
@@ -426,7 +434,16 @@ func (c *Context) wake() {
 		}
 		c.eng.Cancel(c.pollEv)
 	}
-	c.pollEv = c.eng.After(spinDetect, c.pollTick)
+	c.pollEv = c.eng.After(spinDetect, c.pollTickFn)
+}
+
+// eventWake is the epoll wake landing: the thread leaves event mode and
+// polls at once.
+func (c *Context) eventWake() {
+	c.wakePending = false
+	c.eventMode = false
+	c.idlePolls = 0
+	c.schedulePoll(0)
 }
 
 func (c *Context) pollTick() {
@@ -437,7 +454,7 @@ func (c *Context) pollTick() {
 	// cannot run before it finishes (this is how slow-poll incidents
 	// happen, §VI-A method II).
 	if c.busyUntil > c.eng.Now() {
-		c.eng.At(c.busyUntil, c.pollTick)
+		c.eng.At(c.busyUntil, c.pollTickFn)
 		return
 	}
 	n := c.pollOnce()
@@ -477,32 +494,35 @@ func (c *Context) pollOnce() int {
 	}
 	c.Stats.Dispatched += int64(n)
 	t := now.Add(c.cfg.PollCost)
-	for _, cqe := range scqes {
-		cqe := cqe
+	for i := range scqes {
 		t = t.Add(c.cfg.PerMsgCost)
-		c.eng.At(t, func() { c.dispatchSend(cqe) })
+		c.dispatchAt(t, scqes[i], false)
 	}
-	for _, cqe := range rcqes {
-		cqe := cqe
+	for i := range rcqes {
 		cost := c.cfg.PerMsgCost
 		if c.cfg.ReqRspMode {
 			cost += c.cfg.TraceCost
 		}
 		t = t.Add(cost)
-		c.eng.At(t, func() { c.dispatchRecv(cqe) })
+		c.dispatchAt(t, rcqes[i], true)
 	}
 	c.busyUntil = t
 	return n
 }
 
 func (c *Context) dispatchSend(cqe rnic.CQE) {
-	if cb, ok := c.wrCBs[cqe.WRID]; ok {
-		delete(c.wrCBs, cqe.WRID)
-		cb(cqe)
+	e, ok := c.wrs[cqe.WRID]
+	if !ok {
+		// Completion for an unknown WR: a flushed duplicate after error
+		// handling already ran. Ignore.
 		return
 	}
-	// Completion for an unknown WR: a flushed duplicate after error
-	// handling already ran. Ignore.
+	delete(c.wrs, cqe.WRID)
+	if e.counted {
+		c.flow.outstanding--
+		c.flow.pump()
+	}
+	c.completeWR(e, cqe)
 }
 
 func (c *Context) dispatchRecv(cqe rnic.CQE) {
@@ -558,30 +578,39 @@ func (c *Context) armKeepaliveScan() {
 	if period <= 0 {
 		period = 5 * sim.Millisecond
 	}
-	c.eng.AfterBg(period, func() {
-		if !c.started {
-			return
-		}
-		c.keepaliveScan()
-		c.armKeepaliveScan()
-	})
+	c.eng.AfterBg(period, c.keepaliveScanFn)
+}
+
+func (c *Context) keepaliveTick() {
+	if !c.started {
+		return
+	}
+	c.keepaliveScan()
+	c.armKeepaliveScan()
 }
 
 func (c *Context) armDeadlockScan() {
-	c.eng.AfterBg(c.cfg.DeadlockScan, func() {
-		if !c.started {
-			return
-		}
-		for _, ch := range c.channels {
+	c.eng.AfterBg(c.cfg.DeadlockScan, c.deadlockScanFn)
+}
+
+func (c *Context) deadlockTick() {
+	if !c.started {
+		return
+	}
+	for _, ch := range c.channels {
+		ch.deadlockCheck()
+	}
+	// A NOP whose post fails synchronously can fail the shared QP and,
+	// with no redial budget, detach its channels mid-walk — so each QP's
+	// set is snapshotted, into a buffer reused across ticks.
+	for _, mx := range c.muxQPs {
+		c.scanChans = mx.appendChannels(c.scanChans[:0])
+		for _, ch := range c.scanChans {
 			ch.deadlockCheck()
 		}
-		for _, mx := range c.muxQPs {
-			for _, ch := range mx.channels() {
-				ch.deadlockCheck()
-			}
-		}
-		c.armDeadlockScan()
-	})
+	}
+	clear(c.scanChans)
+	c.armDeadlockScan()
 }
 
 func (c *Context) armHousekeeping() {
@@ -589,18 +618,20 @@ func (c *Context) armHousekeeping() {
 	if period <= 0 {
 		period = 10 * sim.Millisecond
 	}
-	c.eng.AfterBg(period, func() {
-		if !c.started {
-			return
-		}
-		c.Mem.shrink()
-		c.timeoutScan()
-		c.pathScan()
-		if c.monitor != nil {
-			c.monitor.sample(c)
-		}
-		c.armHousekeeping()
-	})
+	c.eng.AfterBg(period, c.housekeepingFn)
+}
+
+func (c *Context) housekeepingTick() {
+	if !c.started {
+		return
+	}
+	c.Mem.shrink()
+	c.timeoutScan()
+	c.pathScan()
+	if c.monitor != nil {
+		c.monitor.sample(c)
+	}
+	c.armHousekeeping()
 }
 
 func (c *Context) timeoutScan() {

@@ -151,7 +151,7 @@ func (ch *Channel) drainQuiesced() bool {
 	if ch.tx != nil && ch.tx.inflight() > 0 {
 		return false
 	}
-	return len(ch.sendQ) == 0 && len(ch.pending) == 0 &&
+	return ch.sendQ.len() == 0 && len(ch.pending) == 0 &&
 		len(ch.pulls) == 0 && len(ch.osReads) == 0
 }
 
@@ -319,8 +319,8 @@ func (c *Context) encodeHandoff() []byte {
 			}
 			r.tail = append(r.tail, handoffMsgFrom(ps))
 		}
-		for _, ps := range ch.sendQ {
-			r.tail = append(r.tail, handoffMsgFrom(ps))
+		for i := 0; i < ch.sendQ.len(); i++ {
+			r.tail = append(r.tail, handoffMsgFrom(ch.sendQ.at(i)))
 		}
 		if len(ch.remoteWins) > 0 {
 			ids := make([]uint64, 0, len(ch.remoteWins))
@@ -536,7 +536,7 @@ func (c *Context) Shutdown() {
 		ch.closed = true
 		ch.recEpoch++ // strand in-flight recovery dials
 		ch.unregisterGauges()
-		c.eng.Cancel(ch.ackEv)
+		ch.cancelAck()
 		if ch.mock != nil {
 			ch.closeMock()
 		} else if ch.cid == 0 && ch.qp != nil {
@@ -613,10 +613,9 @@ func (c *Context) Rehydrate(blob []byte) error {
 			ch.tenant = c.tenantByLabel(r.label)
 		}
 		for _, m := range r.tail {
-			ch.sendQ = append(ch.sendQ, &pendingSend{
-				kind: msgKind(m.kind), data: m.data, size: int(m.size),
-				msgID: m.msgID, oneWay: m.oneWay, enqAt: now,
-			})
+			ps := c.newSend(ch, msgKind(m.kind), m.data, int(m.size), m.msgID)
+			ps.oneWay, ps.enqAt = m.oneWay, now
+			ch.sendQ.push(ps)
 		}
 		for _, w := range r.wins {
 			if ch.remoteWins == nil {

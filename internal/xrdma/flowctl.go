@@ -26,71 +26,112 @@ type flowCtl struct {
 type flowItem struct {
 	qp *rnic.QP
 	wr *rnic.SendWR
-	cb func(rnic.CQE)
+	e  wrEntry
+}
+
+// wrKind says how a send completion is handled (Context.completeWR).
+type wrKind uint8
+
+const (
+	wrCallback wrKind = iota // cb (nil: no completion wanted): keepalive probes, one-sided writes
+	wrSend                   // a frame of channel ps.ch (data or control)
+	wrMuxCtrl                // a mux-plane control frame of mx
+	wrFetch                  // one READ fragment of fetch fo
+)
+
+// wrEntry is the context's record of a posted WR, keyed by WR id: a value
+// naming what to do on completion, so the hot frame kinds need no
+// closure per WR.
+type wrEntry struct {
+	kind    wrKind
+	counted bool // holds a flowCtl outstanding slot (RDMA READ)
+	ps      *pendingSend
+	mx      *muxQP
+	fo      *fetchOp
+	sched   *sqSched // DRR scheduler the WR went through (tenanted mux)
+	gen     uint64   // sched generation at post
+	cb      func(rnic.CQE)
+}
+
+// completeWR runs a WR's completion: the DRR scheduler's bookkeeping
+// around the handler the entry names.
+func (c *Context) completeWR(e wrEntry, cqe rnic.CQE) {
+	s := e.sched
+	if s != nil && s.gen == e.gen {
+		s.pending--
+	}
+	switch e.kind {
+	case wrSend:
+		e.ps.ch.sendCompletion(e.ps, cqe)
+	case wrMuxCtrl:
+		e.mx.ctrlCompletion(e.ps, cqe)
+	case wrFetch:
+		c.fragmentDone(e.fo, cqe.Status)
+	default:
+		if e.cb != nil {
+			e.cb(cqe)
+		}
+	}
+	if s != nil && s.gen == e.gen {
+		s.drain()
+	}
 }
 
 func newFlowCtl(ctx *Context, limit int) *flowCtl {
 	return &flowCtl{ctx: ctx, limit: limit}
 }
 
-// post submits a WR under the outstanding limit; cb fires on completion.
-// The limit governs the bulk one-sided data plane (the fragmented READs of
+// post submits a WR under the outstanding limit; e names its completion
+// handler. The limit governs the bulk one-sided data plane (the fragmented READs of
 // the rendezvous path): §V-C's congestion problem is "large size requests
 // block the RNIC". Inline SENDs are already bounded by the per-channel
 // seq-ack window, so they bypass the queue — throttling them would only
 // add latency to the traffic flow control exists to protect.
-func (f *flowCtl) post(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
+func (f *flowCtl) post(qp *rnic.QP, wr *rnic.SendWR, e wrEntry) {
 	if wr.Op == rnic.OpRead && f.outstanding >= f.limit {
 		f.Queued++
-		f.queue = append(f.queue, flowItem{qp: qp, wr: wr, cb: cb})
+		f.queue = append(f.queue, flowItem{qp: qp, wr: wr, e: e})
 		if len(f.queue) > f.PeakQueue {
 			f.PeakQueue = len(f.queue)
 		}
 		return
 	}
-	f.doPost(qp, wr, cb)
+	f.doPost(qp, wr, e)
 }
 
 // postDirect bypasses the limiter — keepalive probes and acks are tiny
 // and must not sit behind queued bulk data.
-func (f *flowCtl) postDirect(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	wr.ID = f.ctx.nextWRID()
-	if cb != nil {
-		f.ctx.wrCBs[wr.ID] = cb
+func (f *flowCtl) postDirect(qp *rnic.QP, wr *rnic.SendWR, e wrEntry) {
+	c := f.ctx
+	wr.ID = c.nextWRID()
+	silent := e.kind == wrCallback && e.cb == nil
+	if !silent {
+		c.wrs[wr.ID] = e
 	}
 	if err := qp.PostSend(wr); err != nil {
-		delete(f.ctx.wrCBs, wr.ID)
-		if cb != nil {
-			cb(rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
+		delete(c.wrs, wr.ID)
+		if !silent {
+			c.completeWR(e, rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
 		}
 	}
 }
 
-func (f *flowCtl) doPost(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	wr.ID = f.ctx.nextWRID()
-	counted := wr.Op == rnic.OpRead
-	if counted {
+func (f *flowCtl) doPost(qp *rnic.QP, wr *rnic.SendWR, e wrEntry) {
+	c := f.ctx
+	wr.ID = c.nextWRID()
+	e.counted = wr.Op == rnic.OpRead
+	if e.counted {
 		f.outstanding++
 	}
 	f.Posted++
-	f.ctx.wrCBs[wr.ID] = func(cqe rnic.CQE) {
-		if counted {
-			f.outstanding--
-			f.pump()
-		}
-		if cb != nil {
-			cb(cqe)
-		}
-	}
+	c.wrs[wr.ID] = e
 	if err := qp.PostSend(wr); err != nil {
 		// QP unusable (broken mid-flight): complete as flushed.
-		delete(f.ctx.wrCBs, wr.ID)
-		if counted {
+		delete(c.wrs, wr.ID)
+		if e.counted {
 			f.outstanding--
 		}
-		if cb != nil {
-			cb(rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
-		}
+		c.completeWR(e, rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
 		f.pump()
 	}
 }
@@ -99,7 +140,7 @@ func (f *flowCtl) pump() {
 	for f.outstanding < f.limit && len(f.queue) > 0 {
 		it := f.queue[0]
 		f.queue = f.queue[1:]
-		f.doPost(it.qp, it.wr, it.cb)
+		f.doPost(it.qp, it.wr, it.e)
 	}
 }
 
@@ -230,31 +271,71 @@ func (f *flowCtl) fetchRemote(qp *rnic.QP, raddr uint64, rkey uint32, local Buff
 	if n > 1 {
 		f.Fragments += int64(n)
 	}
-	remaining := n
-	failed := rnic.StatusOK
-	for off := 0; off < size || (size == 0 && off == 0); off += frag {
+	fo := f.ctx.newFetch(n, done)
+	for i, off := 0, 0; off < size || (size == 0 && off == 0); i, off = i+1, off+frag {
 		seg := size - off
 		if seg > frag {
 			seg = frag
 		}
-		wr := &rnic.SendWR{
+		wr := &fo.wrs[i]
+		*wr = rnic.SendWR{
 			Op:    rnic.OpRead,
 			Len:   seg,
 			Local: local.Addr + uint64(off),
 			RAddr: raddr + uint64(off),
 			RKey:  rkey,
 		}
-		f.post(qp, wr, func(cqe rnic.CQE) {
-			if cqe.Status != rnic.StatusOK && failed == rnic.StatusOK {
-				failed = cqe.Status
-			}
-			remaining--
-			if remaining == 0 {
-				done(failed)
-			}
-		})
+		// A post that fails synchronously completes (and may release fo)
+		// before returning; nothing below touches fo.
+		f.post(qp, wr, wrEntry{kind: wrFetch, fo: fo})
 		if size == 0 {
 			break
 		}
 	}
+}
+
+// fetchOp is one fragmented pull in flight: its fragment WRs, the
+// countdown and the first failure. Pooled on the Context; it goes back
+// once every fragment completed and the NIC holds none of its WRs.
+type fetchOp struct {
+	wrs       []rnic.SendWR
+	remaining int
+	failed    rnic.Status
+	done      func(rnic.Status)
+}
+
+func (c *Context) newFetch(n int, done func(rnic.Status)) *fetchOp {
+	fo := c.pools.fetches.get()
+	if fo == nil {
+		fo = &fetchOp{}
+	}
+	if cap(fo.wrs) < n {
+		fo.wrs = make([]rnic.SendWR, n)
+	}
+	fo.wrs = fo.wrs[:n]
+	fo.remaining, fo.failed, fo.done = n, rnic.StatusOK, done
+	return fo
+}
+
+// fragmentDone counts one fragment's completion; the last one recycles fo
+// and reports the pull.
+func (c *Context) fragmentDone(fo *fetchOp, st rnic.Status) {
+	if st != rnic.StatusOK && fo.failed == rnic.StatusOK {
+		fo.failed = st
+	}
+	fo.remaining--
+	if fo.remaining > 0 {
+		return
+	}
+	done, failed := fo.done, fo.failed
+	fo.done = nil
+	idle := true
+	for i := range fo.wrs {
+		idle = idle && fo.wrs[i].Idle()
+	}
+	if idle {
+		clear(fo.wrs)
+		c.pools.fetches.put(fo)
+	}
+	done(failed)
 }

@@ -140,8 +140,8 @@ func FuzzParseChanHello(f *testing.F) {
 	f.Add(encodeChanHello(chanHello{minVer: 2, maxVer: 2, caps: 0}))
 	f.Add(encodeChanHello(chanHello{minVer: 255, maxVer: 0, caps: ^uint32(0)}))
 	f.Add([]byte{})
-	f.Add([]byte{0x56, 0x58})                  // magic alone, truncated
-	f.Add(bytes.Repeat([]byte{0xff}, 16))      // flag soup, wrong magic
+	f.Add([]byte{0x56, 0x58})                                                            // magic alone, truncated
+	f.Add(bytes.Repeat([]byte{0xff}, 16))                                                // flag soup, wrong magic
 	f.Add(append(encodeChanHello(chanHello{minVer: 1, maxVer: 2, caps: 7}), 0xAA, 0xBB)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -211,8 +211,8 @@ func FuzzDecodeHandoff(f *testing.F) {
 	good := append(base(1), rec...)
 	f.Add(good)
 	f.Add(base(0))
-	f.Add(good[:len(good)-5])            // truncated mid-window
-	f.Add(base(1 << 20))                 // channel-count bomb
+	f.Add(good[:len(good)-5]) // truncated mid-window
+	f.Add(base(1 << 20))      // channel-count bomb
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	fut := base(0)

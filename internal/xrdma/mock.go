@@ -181,7 +181,8 @@ func (ch *Channel) enterMockMode(cause error) {
 	// every message inline from ps.data, so release them — both the
 	// unsent queue and the transmitted-but-unacked tail a cutover will
 	// replay.
-	for _, ps := range ch.sendQ {
+	for i := 0; i < ch.sendQ.len(); i++ {
+		ps := ch.sendQ.at(i)
 		if ps.staged.Valid() {
 			c.Mem.Free(ps.staged)
 			ps.staged = Buffer{}
@@ -207,8 +208,7 @@ func (ch *Channel) enterMockMode(cause error) {
 		delete(ch.recvBufs, id)
 		c.Mem.Free(buf)
 	}
-	c.eng.Cancel(ch.ackEv)
-	ch.ackEv = sim.Event{}
+	ch.cancelAck()
 	ch.kaProbing = false
 	ch.nopInFlight = false
 	ch.stallFlag = false

@@ -443,13 +443,17 @@ func (mx *muxQP) detach(ch *Channel) {
 // channels snapshots attached channels in ascending cid order (cids are
 // assigned monotonically, so attach order is already sorted).
 func (mx *muxQP) channels() []*Channel {
-	out := make([]*Channel, 0, len(mx.cids))
+	return mx.appendChannels(make([]*Channel, 0, len(mx.cids)))
+}
+
+// appendChannels appends the channels() snapshot to dst.
+func (mx *muxQP) appendChannels(dst []*Channel) []*Channel {
 	for _, cid := range mx.cids {
 		if ch := mx.chans[cid]; ch != nil && !ch.closed {
-			out = append(out, ch)
+			dst = append(dst, ch)
 		}
 	}
-	return out
+	return dst
 }
 
 // initSched attaches the weighted DRR scheduler when the context is
@@ -483,17 +487,21 @@ func (mx *muxQP) sendCtrl(h *wireHdr) {
 	if mx.dead || mx.state != muxReady {
 		return
 	}
-	buf := make([]byte, h.wireBytes())
-	h.encode(buf)
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	mx.c.flow.postDirect(mx.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !mx.dead && cqe.QPN == mx.qp.QPN {
-			// Stale-flush guard: completions from an already-replaced QP
-			// must not re-fail the adopted one.
-			mx.fail(fmt.Errorf("xrdma: mux ctrl send failed: %v", cqe.Status))
-		}
-	})
+	ps := mx.c.newCtrl(nil, h)
+	mx.c.flow.postDirect(mx.qp, &ps.wr, wrEntry{kind: wrMuxCtrl, ps: ps, mx: mx})
 	mx.lastComm = mx.c.eng.Now()
+}
+
+// ctrlCompletion handles the CQE of a mux-plane control frame. The
+// stale-flush guard keeps completions from an already-replaced QP from
+// re-failing the adopted one.
+func (mx *muxQP) ctrlCompletion(ps *pendingSend, cqe rnic.CQE) {
+	c := mx.c
+	ps.completed(cqe.Status)
+	if cqe.Status != rnic.StatusOK && !mx.dead && cqe.QPN == mx.qp.QPN {
+		mx.fail(fmt.Errorf("xrdma: mux ctrl send failed: %v", cqe.Status))
+	}
+	c.releaseSend(ps)
 }
 
 // --- passive side ------------------------------------------------------------
@@ -717,7 +725,7 @@ func (mx *muxQP) keepalive(now sim.Time) {
 	c.Stats.KeepaliveProbes++
 	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), mx.qp.QPN, int64(mx.peer), 0)
 	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	c.flow.postDirect(mx.qp, wr, func(cqe rnic.CQE) {
+	c.flow.postDirect(mx.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
 		if mx.dead || cqe.QPN != mx.qp.QPN {
 			return // stale completion from a replaced QP
 		}
@@ -729,7 +737,7 @@ func (mx *muxQP) keepalive(now sim.Time) {
 			return
 		}
 		mx.lastComm = c.eng.Now()
-	})
+	}})
 }
 
 // --- shared-QP recovery ------------------------------------------------------
@@ -756,7 +764,7 @@ func (mx *muxQP) fail(cause error) {
 		h := &wireHdr{Kind: kindMuxSick}
 		buf := make([]byte, h.wireBytes())
 		h.encode(buf)
-		c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, nil)
+		c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, wrEntry{})
 	}
 	now := c.eng.Now()
 	mx.state = muxDegraded
@@ -778,8 +786,7 @@ func (mx *muxQP) fail(cause error) {
 		}
 		ch.setHealth(HealthDegraded)
 		ch.degradedAt = now
-		c.eng.Cancel(ch.ackEv)
-		ch.ackEv = sim.Event{}
+		ch.cancelAck()
 		ch.kaProbing = false
 		ch.nopInFlight = false
 		ch.stallFlag = false

@@ -22,10 +22,10 @@ import (
 // extension (or verb family) the sender is willing to receive; a channel
 // only emits an extension when the peer advertised the matching bit.
 const (
-	capBlame    uint32 = 1 << iota // blame stage-mirror extension on responses
-	capTenant                      // tenant label extension on data frames
-	capOneSided                    // one-sided verbs (WIN_GRANT / READ / WRITE+imm)
-	capDrainHint                   // v2-only: drain state piggybacked in hellos
+	capBlame     uint32 = 1 << iota // blame stage-mirror extension on responses
+	capTenant                       // tenant label extension on data frames
+	capOneSided                     // one-sided verbs (WIN_GRANT / READ / WRITE+imm)
+	capDrainHint                    // v2-only: drain state piggybacked in hellos
 )
 
 // baselineCaps is what a peer that sent no hello (a pre-negotiation build,

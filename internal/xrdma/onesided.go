@@ -322,7 +322,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		Op: rnic.OpWriteImm, Len: len(data), Data: data,
 		RAddr: win.Addr + off, RKey: win.RKey, Imm: imm,
 	}
-	c.flow.post(ch.qp, wr, func(cqe rnic.CQE) {
+	c.flow.post(ch.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
 		if cqe.Status != rnic.StatusOK {
 			err := fmt.Errorf("xrdma: remote write failed: %v", cqe.Status)
 			if cqe.Status == rnic.StatusRemoteAccessErr {
@@ -338,7 +338,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		ch.Counters.WriteBytes += int64(len(data))
 		ch.noteOneSided(telemetry.StageWriteFlush, id, start)
 		cb(nil)
-	})
+	}})
 	ch.lastComm = c.eng.Now()
 }
 
@@ -496,7 +496,7 @@ func (ch *Channel) sendCtrlPayload(h *wireHdr, data []byte, cb func(error)) {
 		return
 	}
 	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
+	ch.ctx.flow.postDirect(ch.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
 		if cqe.Status != rnic.StatusOK {
 			if cb != nil {
 				cb(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
@@ -509,7 +509,7 @@ func (ch *Channel) sendCtrlPayload(h *wireHdr, data []byte, cb func(error)) {
 		if cb != nil {
 			cb(nil)
 		}
-	})
+	}})
 	ch.noteAckCarried()
 	ch.lastComm = ch.ctx.eng.Now()
 }

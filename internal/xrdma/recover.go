@@ -120,8 +120,7 @@ func (ch *Channel) enterDegraded(cause error) {
 		delete(ch.recvBufs, id)
 		c.Mem.Free(buf)
 	}
-	c.eng.Cancel(ch.ackEv)
-	ch.ackEv = sim.Event{}
+	ch.cancelAck()
 	ch.kaProbing = false
 	ch.nopInFlight = false
 	ch.stallFlag = false
@@ -383,8 +382,9 @@ func (ch *Channel) requeueUnacked() {
 	if ch.tx.seq == ch.tx.acked {
 		return
 	}
-	var replay []*pendingSend
-	for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
+	// Walk the tail newest-first, pushing each to the head, so the queue
+	// ends up in sequence order ahead of what was already waiting.
+	for s := ch.tx.seq; s > ch.tx.acked; s-- {
 		ps := ch.sent[s]
 		if ps == nil {
 			continue
@@ -397,11 +397,10 @@ func (ch *Channel) requeueUnacked() {
 			ps.staged = Buffer{}
 		}
 		ps.ready = ps.staged.Valid()
-		replay = append(replay, ps)
+		ch.sendQ.pushFront(ps)
 	}
 	ch.tx.rewind()
 	ch.tenantRewind()
-	ch.sendQ = append(replay, ch.sendQ...)
 }
 
 // proceedToFallback gives up on RDMA re-establishment: Mock when

@@ -342,10 +342,98 @@ func TestKeepaliveDeathMidRendezvousNoLeak(t *testing.T) {
 	if got := cli.tx.inflight(); got != 0 {
 		t.Errorf("client window still holds %d credits", got)
 	}
-	if len(cli.sent) != 0 || len(cli.sendQ) != 0 {
-		t.Errorf("replay state leaks: %d sent records, %d queued", len(cli.sent), len(cli.sendQ))
+	if len(cli.sent) != 0 || cli.sendQ.len() != 0 {
+		t.Errorf("replay state leaks: %d sent records, %d queued", len(cli.sent), cli.sendQ.len())
 	}
 	if w.ctxs[0].Stats.ChannelsBroken == 0 {
 		t.Error("broken-channel counter never moved")
+	}
+}
+
+// TestPooledSenderRecoversMidWindow: send records, their WRs and their
+// frame buffers are pooled, so a recovery that replays the unacked tail
+// while CQEs and go-back-N retransmissions for the old transmissions are
+// still outstanding must not hand a record or buffer to a new message
+// early. A lossy link keeps retransmissions in flight, the cable pull
+// fails the QP with a full window, and every payload byte is checked on
+// arrival: a recycled buffer overwritten under an in-flight frame would
+// surface as a corrupt or lost message.
+func TestPooledSenderRecoversMidWindow(t *testing.T) {
+	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
+		cfg.WindowDepth = 4
+	})
+	cli, srv := w.connect(t, 0, 1, 5000)
+	const size = 200
+	fill := func(id uint64, i int) byte { return byte(id*31 + uint64(i)) }
+	recvd := map[uint64]int{}
+	corrupt := 0
+	srv.OnMessage(func(m *Msg) {
+		id := binary.LittleEndian.Uint64(m.Data)
+		for i := 8; i < size; i++ {
+			if m.Data[i] != fill(id, i) {
+				corrupt++
+				break
+			}
+		}
+		recvd[id]++
+		m.Reply(m.Data[:8], 0)
+	})
+	var sent uint64
+	resps := map[uint64]int{}
+	var tick func()
+	tick = func() {
+		if w.eng.Now() >= sim.Time(150*sim.Millisecond) {
+			return
+		}
+		id := sent
+		sent++
+		buf := make([]byte, size)
+		binary.LittleEndian.PutUint64(buf, id)
+		for i := 8; i < size; i++ {
+			buf[i] = fill(id, i)
+		}
+		if err := cli.SendMsg(buf, 0, func(m *Msg, err error) {
+			if err == nil {
+				resps[binary.LittleEndian.Uint64(m.Data)]++
+			}
+		}); err != nil {
+			t.Fatalf("send %d: %v", id, err)
+		}
+		w.eng.AfterBg(50*sim.Microsecond, tick)
+	}
+	w.eng.AfterBg(50*sim.Microsecond, tick)
+	w.eng.AfterBg(10*sim.Millisecond, func() { w.fab.SetHostLinkImpairment(1, 0.02, 0, 0) })
+	w.eng.AfterBg(40*sim.Millisecond, func() { w.fab.SetHostLink(1, false) })
+	w.eng.AfterBg(60*sim.Millisecond, func() { w.fab.SetHostLink(1, true) })
+	w.eng.AfterBg(100*sim.Millisecond, func() { w.fab.SetHostLinkImpairment(1, 0, 0, 0) })
+	w.eng.RunFor(500 * sim.Millisecond)
+
+	c := w.ctxs[0]
+	if c.Stats.Degraded == 0 || c.Stats.Recoveries == 0 {
+		t.Fatalf("degraded=%d recoveries=%d: the QP never recovered mid-window", c.Stats.Degraded, c.Stats.Recoveries)
+	}
+	if w.nics[0].Counters.Retransmits == 0 {
+		t.Fatal("no go-back-N retransmission: the lossy phase is vacuous")
+	}
+	if cli.Health() != HealthHealthy || cli.Mocked() {
+		t.Fatalf("client ended health=%v mocked=%v, want healthy over RDMA", cli.Health(), cli.Mocked())
+	}
+	lost, dups := 0, 0
+	for id := uint64(0); id < sent; id++ {
+		switch n := recvd[id]; {
+		case n == 0:
+			lost++
+		case n > 1:
+			dups++
+		}
+	}
+	if lost != 0 || dups != 0 || corrupt != 0 {
+		t.Errorf("of %d sent: %d lost, %d duplicated, %d corrupt", sent, lost, dups, corrupt)
+	}
+	if len(resps) != int(sent) {
+		t.Errorf("%d responses for %d requests", len(resps), sent)
+	}
+	if len(c.pools.sends.items) == 0 || len(c.pools.wire[wireClass(hdrSize+size)]) == 0 {
+		t.Error("no send record or frame buffer came back to the pool: the sender never pooled")
 	}
 }

@@ -32,7 +32,7 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	}
 	msgID := ch.ctx.nextMsgID()
 	if cb != nil {
-		rs := &reqState{cb: cb, sentAt: ch.ctx.eng.Now()}
+		rs := ch.ctx.newReq(cb, ch.ctx.eng.Now())
 		if ch.ctx.cfg.RequestRetries > 0 {
 			// Retain an owned copy of the payload so a timeout can
 			// re-issue the request under the same MsgID (budgeted retries,
@@ -50,7 +50,7 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 		ch.pending[msgID] = rs
 		ch.Counters.ReqsSent++
 	}
-	ps := &pendingSend{kind: kindReq, data: data, size: size, msgID: msgID}
+	ps := ch.ctx.newSend(ch, kindReq, data, size, msgID)
 	if cb == nil {
 		ps.oneWay = true
 	}
@@ -87,7 +87,7 @@ func (m *Msg) Reply(data []byte, size int) error {
 			copy(ent.data, data)
 		}
 	}
-	ps := &pendingSend{kind: kindResp, data: data, size: size, msgID: m.MsgID}
+	ps := ch.ctx.newSend(ch, kindResp, data, size, m.MsgID)
 	if mb := m.blame; mb != nil && mb.rx != nil {
 		// The request rode the blame plane: mirror what this side knows —
 		// request-direction fabric residency (the in-band accumulator) and
@@ -105,9 +105,9 @@ func (m *Msg) Reply(data []byte, size int) error {
 
 func (ch *Channel) enqueue(ps *pendingSend) {
 	ps.enqAt = ch.ctx.eng.Now()
-	ch.sendQ = append(ch.sendQ, ps)
-	if len(ch.sendQ) > ch.Counters.SendQueuePeak {
-		ch.Counters.SendQueuePeak = len(ch.sendQ)
+	ch.sendQ.push(ps)
+	if n := ch.sendQ.len(); n > ch.Counters.SendQueuePeak {
+		ch.Counters.SendQueuePeak = n
 	}
 	ch.pump()
 }
@@ -123,12 +123,12 @@ func (ch *Channel) pump() {
 	if ch.attach != attachDone {
 		// Lazy mux descriptor: the first queued send is what triggers the
 		// QP-pool attach; traffic drains from finishAttach.
-		if len(ch.sendQ) > 0 && !ch.closed {
+		if ch.sendQ.len() > 0 && !ch.closed {
 			ch.requestAttach()
 		}
 		return
 	}
-	for len(ch.sendQ) > 0 && !ch.closed {
+	for ch.sendQ.len() > 0 && !ch.closed {
 		if ch.resumeOnRx {
 			return
 		}
@@ -139,7 +139,7 @@ func (ch *Channel) pump() {
 		} else if ch.health != HealthHealthy {
 			return
 		}
-		ps := ch.sendQ[0]
+		ps := ch.sendQ.at(0)
 		if !ch.tx.canSend() {
 			if !ch.stallFlag {
 				ch.stallFlag = true
@@ -154,39 +154,7 @@ func (ch *Channel) pump() {
 		if large && !ps.ready {
 			if !ps.staging {
 				ps.staging = true
-				c.Mem.AllocT(ch.tenant, ps.size, func(buf Buffer, err error) {
-					if ch.closed || ch.mock != nil {
-						// The channel died or cut over to mock while the
-						// staging allocation was in flight; the message
-						// will go inline (or nowhere).
-						if err == nil {
-							c.Mem.Free(buf)
-						}
-						ps.staging = false
-						if !ch.closed {
-							ch.pump()
-						}
-						return
-					}
-					if err != nil {
-						ch.ctx.logf("stage alloc failed: %v", err)
-						ch.sendQ = ch.sendQ[1:]
-						// Budget/pool exhaustion is an admission verdict,
-						// not a stall: the caller's completion fails now
-						// instead of timing out with the message silently
-						// dropped.
-						ch.failSend(ps, err)
-						ch.pump()
-						return
-					}
-					if ps.data != nil {
-						copy(buf.Bytes(), ps.data)
-					}
-					ps.staged = buf
-					ps.ready = true
-					ps.staging = false
-					ch.pump()
-				})
+				c.Mem.AllocT(ch.tenant, ps.size, ps.onStaged)
 			}
 			return
 		}
@@ -196,9 +164,46 @@ func (ch *Channel) pump() {
 			return
 		}
 		ch.stallFlag = false
-		ch.sendQ = ch.sendQ[1:]
+		ch.sendQ.pop()
 		ch.transmit(ps, large)
 	}
+}
+
+// stageDone is the staging allocation's callback for a rendezvous send
+// at the head of the queue (ps.onStaged).
+func (ps *pendingSend) stageDone(buf Buffer, err error) {
+	ch := ps.ch
+	c := ch.ctx
+	if ch.closed || ch.mock != nil {
+		// The channel died or cut over to mock while the staging
+		// allocation was in flight; the message will go inline (or
+		// nowhere).
+		if err == nil {
+			c.Mem.Free(buf)
+		}
+		ps.staging = false
+		if !ch.closed {
+			ch.pump()
+		}
+		return
+	}
+	if err != nil {
+		c.logf("stage alloc failed: %v", err)
+		ch.sendQ.pop()
+		// Budget/pool exhaustion is an admission verdict, not a stall:
+		// the caller's completion fails now instead of timing out with
+		// the message silently dropped.
+		ch.failSend(ps, err)
+		ch.pump()
+		return
+	}
+	if ps.data != nil {
+		copy(buf.Bytes(), ps.data)
+	}
+	ps.staged = buf
+	ps.ready = true
+	ps.staging = false
+	ch.pump()
 }
 
 func (ch *Channel) transmit(ps *pendingSend, large bool) {
@@ -213,25 +218,15 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		ch.Counters.LargeSent++
 	}
 	// The record in ch.sent keeps the message replayable until the peer
-	// acks it; the on-acked callback retires it and frees any staged
-	// rendezvous payload.
-	var seq uint64
-	seq = ch.tx.next(func() {
-		delete(ch.sent, seq)
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-			ps.staged = Buffer{}
-		}
-		if t := ch.tenant; t != nil {
-			t.noteAcked(ch)
-		}
-	})
+	// acks it; the on-acked hook (ps.acked) retires it and frees any
+	// staged rendezvous payload.
+	ps.seq = ch.tx.next(ps.onAck)
 	if ch.sent == nil {
 		ch.sent = make(map[uint64]*pendingSend)
 	}
-	ch.sent[seq] = ps
+	ch.sent[ps.seq] = ps
 	h := wireHdr{
-		Kind: kind, Ver: ch.negVer, Seq: seq, Ack: ch.rx.ackValue(),
+		Kind: kind, Ver: ch.negVer, Seq: ps.seq, Ack: ch.rx.ackValue(),
 		MsgID: ps.msgID, Size: uint32(ps.size),
 	}
 	if ch.mx != nil {
@@ -289,17 +284,16 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		t.Sent++
 		t.TxBytes += int64(wireLen)
 	}
-	var buf []byte
+	frameLen := hb
 	if !large && ps.data != nil {
-		buf = make([]byte, hb+len(ps.data))
-		h.encode(buf)
-		copy(buf[hb:], ps.data)
-	} else {
-		buf = make([]byte, hb)
-		h.encode(buf)
+		frameLen += len(ps.data)
 	}
 	ch.noteAckCarried()
 	if ch.mock != nil {
+		// The TCP stack keeps the bytes in flight: the mock path
+		// allocates its frame.
+		buf := make([]byte, frameLen)
+		encodeFrame(buf, &h, hb, ps, large)
 		ch.mock.conn.Send(buf, wireLen, nil)
 		ch.Counters.MsgsSent++
 		ch.Counters.BytesSent += int64(ps.size)
@@ -310,7 +304,19 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		}
 		return
 	}
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: wireLen, Data: buf, Blame: blameAcc}
+	// The record's own WR and pooled frame buffer, unless the request is
+	// blame-sampled (reqBlame.wr outlives the ack) or the NIC may still
+	// hold the WR from an earlier transmission (a recovery replay).
+	var wr *rnic.SendWR
+	if blameAcc == nil {
+		wr = c.embeddedWR(ps, frameLen)
+	}
+	if wr == nil {
+		wr = &rnic.SendWR{Op: rnic.OpSend, Data: make([]byte, frameLen), Blame: blameAcc}
+	}
+	wr.Len = wireLen
+	encodeFrame(wr.Data, &h, hb, ps, large)
+	ps.wrOut++
 	if blameAcc != nil && kind == kindReq {
 		if rs, ok := ch.pending[ps.msgID]; ok {
 			rs.blame = &reqBlame{
@@ -319,20 +325,12 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 			}
 		}
 	}
-	sendCB := func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !ch.closed && cqe.QPN == ch.qp.QPN {
-			// The QPN guard drops stale flushes: a recovery that already
-			// swapped in a replacement QP flushes the old one's WRs, and
-			// those completions must not re-fail the fresh transport.
-			ch.fail(fmt.Errorf("xrdma: send failed: %v", cqe.Status))
-		}
-	}
 	if ch.mx != nil && ch.mx.sched != nil {
 		// Tenanted shared QP: the DRR scheduler arbitrates the SQ so the
 		// mux pool honors tenant weights instead of FIFO head-of-line.
-		ch.mx.sched.submit(ch, ch.qp, wr, sendCB)
+		ch.mx.sched.submit(ch, ch.qp, wr, wrEntry{kind: wrSend, ps: ps})
 	} else {
-		c.flow.post(ch.qp, wr, sendCB)
+		c.flow.post(ch.qp, wr, wrEntry{kind: wrSend, ps: ps})
 	}
 	ch.Counters.MsgsSent++
 	ch.Counters.BytesSent += int64(ps.size)
@@ -341,6 +339,32 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	if h.Flags&flagTraced != 0 {
 		c.trace.onSend(ch, &h)
 	}
+}
+
+// encodeFrame writes h (hb bytes) and, for an inline message carrying
+// bytes, the payload into buf.
+func encodeFrame(buf []byte, h *wireHdr, hb int, ps *pendingSend, large bool) {
+	h.encode(buf)
+	if !large && ps.data != nil {
+		copy(buf[hb:], ps.data)
+	}
+}
+
+// sendCompletion handles the CQE of a frame ch posted (data or control).
+// The QPN guard drops stale flushes: a recovery that already swapped in a
+// replacement QP flushes the old one's WRs, and those completions must
+// not re-fail the fresh transport.
+func (ch *Channel) sendCompletion(ps *pendingSend, cqe rnic.CQE) {
+	c := ch.ctx
+	ps.completed(cqe.Status)
+	if cqe.Status != rnic.StatusOK && !ch.closed && cqe.QPN == ch.qp.QPN {
+		if ps.kind.windowed() {
+			ch.fail(fmt.Errorf("xrdma: send failed: %v", cqe.Status))
+		} else {
+			ch.fail(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
+		}
+	}
+	c.releaseSend(ps)
 }
 
 // failSend surfaces a send that could not be staged (tenant budget, pool
@@ -416,16 +440,8 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 		// (cumulative acks re-ride the next message).
 		return
 	}
-	buf := make([]byte, h.wireBytes())
-	h.encode(buf)
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !ch.closed && cqe.QPN == ch.qp.QPN {
-			// Same stale-flush guard as the data path: only the current
-			// QP's completions may fail the channel.
-			ch.fail(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
-		}
-	})
+	ps := ch.ctx.newCtrl(ch, h)
+	ch.ctx.flow.postDirect(ch.qp, &ps.wr, wrEntry{kind: wrSend, ps: ps})
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
 		ch.ctx.Stats.AcksSent++
@@ -438,8 +454,7 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 func (ch *Channel) noteAckCarried() {
 	ch.lastAckVal = ch.rx.ackValue()
 	ch.recvSinceAck = 0
-	ch.ctx.eng.Cancel(ch.ackEv)
-	ch.ackEv = sim.Event{}
+	ch.cancelAck()
 }
 
 // maybeAck emits a standalone ack after AckEvery deliveries, or arms the
@@ -453,13 +468,7 @@ func (ch *Channel) maybeAck() {
 		ch.sendCtrl(kindAck)
 		return
 	}
-	if !ch.ackEv.Pending() {
-		ch.ackEv = ch.ctx.eng.After(ch.ctx.cfg.AckDelay, func() {
-			if !ch.closed && ch.rx.ackValue() > ch.lastAckVal {
-				ch.sendCtrl(kindAck)
-			}
-		})
-	}
+	ch.armAck()
 }
 
 // --- inbound ----------------------------------------------------------------
@@ -606,63 +615,118 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			ch.pulls = make(map[uint64]bool)
 		}
 		ch.pulls[seqNo] = true
-		raddr, rkey := h.Addr, h.RKey
-		c.Mem.Alloc(size, func(buf Buffer, err error) {
-			if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
-				if err == nil {
-					c.Mem.Free(buf)
-				}
-				delete(ch.pulls, seqNo)
-				return
-			}
-			if err != nil {
-				delete(ch.pulls, seqNo)
-				ch.fail(fmt.Errorf("xrdma: rendezvous alloc: %w", err))
-				return
-			}
-			pullStart := c.eng.Now()
-			pullQP := ch.qp
-			c.flow.fetchRemote(ch.qp, raddr, rkey, buf, size, func(st rnic.Status) {
-				// A completion from a pre-recovery transport is stale news:
-				// the channel already cut over, and the replayed announce
-				// owns the pull marker for this sequence now.
-				stale := ch.qp != pullQP || ch.mock != nil
-				if !stale {
-					delete(ch.pulls, seqNo)
-				}
-				if ch.closed {
-					c.Mem.Free(buf)
-					return
-				}
-				if st != rnic.StatusOK {
-					c.Mem.Free(buf)
-					if !stale {
-						ch.fail(fmt.Errorf("xrdma: rendezvous read failed: %v", st))
-					}
-					return
-				}
-				// The pull is one-sided READ residency: attribute it to the
-				// read.fetch stage on the timeline.
-				c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
-					pullStart, c.eng.Now().Sub(pullStart), int64(h.MsgID))
-				if ch.rx.isRecved(seqNo) {
-					// A replayed announce re-pulled this message and won
-					// the race; drop the duplicate payload.
-					c.Mem.Free(buf)
-					return
-				}
-				msg.Data = buf.Bytes()
-				msg.RecvAt = c.eng.Now()
-				msg.release = func() { c.Mem.Free(buf) }
-				ch.Counters.LargeRecv++
-				ch.rx.markRecved(seqNo)
-				ch.deliver(msg)
-			})
-		})
+		p := c.newPull(ch, msg, seqNo, h)
+		c.Mem.Alloc(size, p.onAlloc)
 	default:
 		c.logf("unknown message kind %d from peer %d", h.Kind, ch.Peer)
 	}
 }
+
+// pull is one inbound rendezvous transfer: a local buffer from the memory
+// cache, a fragmented READ of the peer's staged payload, delivery. Its
+// callbacks are built once per pooled object. It returns to the
+// Context's pool when the transfer ends — after deliver ran the message's
+// release (onRelease frees buf), so nothing can reach it any more.
+type pull struct {
+	ch    *Channel
+	msg   *Msg
+	seq   uint64
+	raddr uint64
+	rkey  uint32
+	msgID uint64
+	size  int
+	buf   Buffer
+	start sim.Time
+	qp    *rnic.QP // transport the READs went out on
+
+	onAlloc   func(Buffer, error)
+	onFetch   func(rnic.Status)
+	onRelease func()
+}
+
+func (c *Context) newPull(ch *Channel, msg *Msg, seq uint64, h *wireHdr) *pull {
+	p := c.pools.pulls.get()
+	if p == nil {
+		p = &pull{}
+		p.onAlloc, p.onFetch, p.onRelease = p.allocated, p.fetched, p.freeBuf
+	}
+	p.ch, p.msg, p.seq, p.size = ch, msg, seq, int(h.Size)
+	p.raddr, p.rkey, p.msgID = h.Addr, h.RKey, h.MsgID
+	return p
+}
+
+func (c *Context) putPull(p *pull) {
+	onAlloc, onFetch, onRelease := p.onAlloc, p.onFetch, p.onRelease
+	*p = pull{onAlloc: onAlloc, onFetch: onFetch, onRelease: onRelease}
+	c.pools.pulls.put(p)
+}
+
+func (p *pull) allocated(buf Buffer, err error) {
+	ch := p.ch
+	c := ch.ctx
+	if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
+		if err == nil {
+			c.Mem.Free(buf)
+		}
+		delete(ch.pulls, p.seq)
+		c.putPull(p)
+		return
+	}
+	if err != nil {
+		delete(ch.pulls, p.seq)
+		c.putPull(p)
+		ch.fail(fmt.Errorf("xrdma: rendezvous alloc: %w", err))
+		return
+	}
+	p.buf, p.start, p.qp = buf, c.eng.Now(), ch.qp
+	c.flow.fetchRemote(ch.qp, p.raddr, p.rkey, buf, p.size, p.onFetch)
+}
+
+func (p *pull) fetched(st rnic.Status) {
+	ch, buf, seqNo := p.ch, p.buf, p.seq
+	c := ch.ctx
+	// A completion from a pre-recovery transport is stale news: the
+	// channel already cut over, and the replayed announce owns the pull
+	// marker for this sequence now.
+	stale := ch.qp != p.qp || ch.mock != nil
+	if !stale {
+		delete(ch.pulls, seqNo)
+	}
+	if ch.closed {
+		c.Mem.Free(buf)
+		c.putPull(p)
+		return
+	}
+	if st != rnic.StatusOK {
+		c.Mem.Free(buf)
+		c.putPull(p)
+		if !stale {
+			ch.fail(fmt.Errorf("xrdma: rendezvous read failed: %v", st))
+		}
+		return
+	}
+	// The pull is one-sided READ residency: attribute it to the
+	// read.fetch stage on the timeline.
+	c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
+		p.start, c.eng.Now().Sub(p.start), int64(p.msgID))
+	if ch.rx.isRecved(seqNo) {
+		// A replayed announce re-pulled this message and won the race;
+		// drop the duplicate payload.
+		c.Mem.Free(buf)
+		c.putPull(p)
+		return
+	}
+	msg := p.msg
+	msg.Data = buf.Bytes()
+	msg.RecvAt = c.eng.Now()
+	msg.release = p.onRelease
+	ch.Counters.LargeRecv++
+	ch.rx.markRecved(seqNo)
+	ch.deliver(msg)
+	c.putPull(p)
+}
+
+func (p *pull) freeBuf() { p.ch.ctx.Mem.Free(p.buf) }
 
 // deliver hands a completed inbound message to the application (inline
 // messages at arrival — in order among themselves — and rendezvous
@@ -683,7 +747,7 @@ func (ch *Channel) deliver(msg *Msg) {
 				if ent.replied {
 					// The original response is evidently lost; re-send it
 					// from cache without waking the application again.
-					ch.enqueue(&pendingSend{kind: kindResp, data: ent.data, size: ent.size, msgID: msg.MsgID})
+					ch.enqueue(c.newSend(ch, kindResp, ent.data, ent.size, msg.MsgID))
 				}
 			} else {
 				ch.rememberReq(msg.MsgID)
@@ -719,6 +783,7 @@ func (ch *Channel) deliver(msg *Msg) {
 			if rs.cb != nil {
 				rs.cb(msg, nil)
 			}
+			c.putReq(rs)
 		}
 	}
 	if msg.release != nil {

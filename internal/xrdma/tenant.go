@@ -321,7 +321,7 @@ type sqItem struct {
 	ch *Channel
 	qp *rnic.QP
 	wr *rnic.SendWR
-	cb func(rnic.CQE)
+	e  wrEntry
 }
 
 type tenantSQ struct {
@@ -363,8 +363,8 @@ func (s *sqSched) weight(id uint16) int64 {
 
 // submit either posts the frame directly (idle SQ under the burst) or
 // enqueues it on its tenant's queue for DRR drain.
-func (s *sqSched) submit(ch *Channel, qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	item := sqItem{ch: ch, qp: qp, wr: wr, cb: cb}
+func (s *sqSched) submit(ch *Channel, qp *rnic.QP, wr *rnic.SendWR, e wrEntry) {
+	item := sqItem{ch: ch, qp: qp, wr: wr, e: e}
 	if s.pending < s.burst && s.backlog == 0 {
 		s.post(item)
 		return
@@ -387,20 +387,13 @@ func (s *sqSched) submit(ch *Channel, qp *rnic.QP, wr *rnic.SendWR, cb func(rnic
 	s.drain()
 }
 
+// post hands the frame to the flow controller; completeWR releases its
+// SQ slot and drains the queues, unless a reset intervened (gen).
 func (s *sqSched) post(item sqItem) {
 	s.pending++
-	gen := s.gen
-	s.c.flow.post(item.qp, item.wr, func(cqe rnic.CQE) {
-		if s.gen == gen {
-			s.pending--
-		}
-		if item.cb != nil {
-			item.cb(cqe)
-		}
-		if s.gen == gen {
-			s.drain()
-		}
-	})
+	e := item.e
+	e.sched, e.gen = s, s.gen
+	s.c.flow.post(item.qp, item.wr, e)
 }
 
 // drain serves tenant queues deficit-round-robin while the SQ has burst

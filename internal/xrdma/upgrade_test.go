@@ -81,14 +81,14 @@ func TestHandoffDecodeHostile(t *testing.T) {
 		for i := uint8(0); i < nq; i++ {
 			b = le.AppendUint32(b, uint32(100+i))
 		}
-		b = le.AppendUint32(b, 55)         // peerQPN
-		b = le.AppendUint32(b, 55)         // peerQPN0
-		b = append(b, 1)                   // negVer
+		b = le.AppendUint32(b, 55) // peerQPN
+		b = le.AppendUint32(b, 55) // peerQPN0
+		b = append(b, 1)           // negVer
 		b = le.AppendUint32(b, baselineCaps)
-		b = append(b, make([]byte, 8)...)  // label
-		b = le.AppendUint64(b, 10)         // txFloor
-		b = le.AppendUint64(b, 12)         // rxFloor
-		b = le.AppendUint32(b, nt)         // tail count
+		b = append(b, make([]byte, 8)...) // label
+		b = le.AppendUint64(b, 10)        // txFloor
+		b = le.AppendUint64(b, 12)        // rxFloor
+		b = le.AppendUint32(b, nt)        // tail count
 		return b
 	}
 
@@ -110,10 +110,10 @@ func TestHandoffDecodeHostile(t *testing.T) {
 		{"tail-count-bomb", append(base(1), recPrefix(1, handoffMaxTail+1)...)},
 		{"tail-payload-overrun", func() []byte {
 			b := append(base(1), recPrefix(0, 1)...)
-			b = append(b, 1, 0)            // kind, oneWay
-			b = le.AppendUint64(b, 3)      // msgID
-			b = le.AppendUint32(b, 64)     // size
-			b = le.AppendUint32(b, 1<<30)  // dataLen far beyond the buffer
+			b = append(b, 1, 0)           // kind, oneWay
+			b = le.AppendUint64(b, 3)     // msgID
+			b = le.AppendUint32(b, 64)    // size
+			b = le.AppendUint32(b, 1<<30) // dataLen far beyond the buffer
 			return b
 		}()},
 	}

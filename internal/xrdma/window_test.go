@@ -215,3 +215,51 @@ func TestWindowPairProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSendRingOrder: the send queue ring keeps FIFO order across
+// wrap-around growth, and pushFront (the recovery replay) lands ahead of
+// what was already queued.
+func TestSendRingOrder(t *testing.T) {
+	var r sendRing
+	recs := make([]*pendingSend, 40)
+	for i := range recs {
+		recs[i] = &pendingSend{msgID: uint64(i)}
+	}
+	var want []uint64
+	next := 0
+	// Interleave pushes and pops so the head walks around the ring while
+	// it grows.
+	for round := 0; round < 6; round++ {
+		for k := 0; k < round+2 && next < 30; k++ {
+			r.push(recs[next])
+			want = append(want, uint64(next))
+			next++
+		}
+		if got := r.pop().msgID; got != want[0] {
+			t.Fatalf("round %d: popped %d, want %d", round, got, want[0])
+		}
+		want = want[1:]
+	}
+	// Replay: push 39, 38, ... 30 to the front, newest first.
+	for i := 39; i >= 30; i-- {
+		r.pushFront(recs[i])
+	}
+	replay := []uint64{30, 31, 32, 33, 34, 35, 36, 37, 38, 39}
+	want = append(replay, want...)
+	if r.len() != len(want) {
+		t.Fatalf("len %d, want %d", r.len(), len(want))
+	}
+	for i, id := range want {
+		if got := r.at(i).msgID; got != id {
+			t.Fatalf("at(%d) = %d, want %d", i, got, id)
+		}
+	}
+	for _, id := range want {
+		if got := r.pop().msgID; got != id {
+			t.Fatalf("popped %d, want %d", got, id)
+		}
+	}
+	if r.len() != 0 {
+		t.Fatalf("ring not empty: %d left", r.len())
+	}
+}

@@ -8,8 +8,9 @@
 # is informational: its delta against UntracedSendPath is the armed cost
 # of the blame plane.
 # IdleChannelFootprint's contract is bytes/conn <= 1024 (the flyweight
-# channel budget, also CI-gated); MuxSharedQPSend is informational — one
-# request/response round trip through the shared-QP demux plane.
+# channel budget, also CI-gated). ClassicRPC and MuxSharedQPSend are one
+# request/response round trip through the classic and the shared-QP
+# plane; CI gates their allocs/op at fixed ceilings (5 and 8).
 # BuddyAlloc's contract is allocs/op == 0 (CI-gated): steady-state buddy
 # alloc/free reuses free-list capacity and never touches the heap.
 # AgentSample's contract is allocs/op == 0 (CI-gated): the xrmon fleet
@@ -29,7 +30,7 @@ go test ./internal/sim/ ./internal/telemetry/ ./internal/rnic/ ./internal/xrmon/
     -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkOneSidedReadPath|BenchmarkAgentSample' -benchmem \
     -benchtime=2s -count=1 | tee "$tmp" >&2
 go test ./internal/xrdma/ -run '^$' \
-    -bench 'BenchmarkIdleChannelFootprint|BenchmarkMuxSharedQPSend|BenchmarkBuddyAlloc' -benchmem \
+    -bench 'BenchmarkIdleChannelFootprint|BenchmarkMuxSharedQPSend|BenchmarkClassicRPC|BenchmarkBuddyAlloc' -benchmem \
     -benchtime=1s -count=1 | tee -a "$tmp" >&2
 
 # Baseline: container/heap scheduler + per-event heap allocation, measured
