@@ -91,33 +91,63 @@ func TestTable2SlowOpCaughtByTracer(t *testing.T) {
 }
 
 // Bug class "connection leak": the peer dies silently; keepalive must
-// declare it dead, reclaim the channel's resources (no leak) and leave a
-// dump naming keepalive.fail.
+// declare it dead, reclaim the channels' resources (no leak) and leave a
+// dump naming keepalive.fail. On the mux plane the shared QP's binding
+// spends its redial budget first, then gives up on every rider at once.
 func TestTable2LeakCaughtByKeepaliveReclamation(t *testing.T) {
-	w := newWorld(t, 2, nil) // default keepalive: 10 ms probe, 50 ms timeout
-	cli, srv := w.connect(t, 0, 1, 5102)
-	echoServer(srv)
-	var closeErr error
-	cli.OnClose(func(err error) { closeErr = err })
-	w.nics[1].Crash()
-	// Probe failure surfaces after the RC retry horizon (≈160 ms).
-	w.eng.RunFor(600 * sim.Millisecond)
+	for _, tc := range []struct {
+		name    string
+		knobs   func(int, *Config)
+		chans   int
+		redials int64 // exclusive: no recovery port, straight to teardown
+	}{
+		{"exclusive", nil, 1, 0},
+		{"mux", muxKnobs(1), 4, int64(DefaultConfig().RecoverRetries)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 2, tc.knobs) // default keepalive: 10 ms probe, 50 ms timeout
+			var clients, servers []*Channel
+			if tc.knobs == nil {
+				cli, srv := w.connect(t, 0, 1, 5102)
+				clients, servers = []*Channel{cli}, []*Channel{srv}
+			} else {
+				clients, servers = openMuxed(t, w, 0, 1, 5102, tc.chans)
+			}
+			closeErrs := make([]error, len(clients))
+			for k, cli := range clients {
+				echoServer(servers[k])
+				cli.OnClose(func(err error) { closeErrs[k] = err })
+			}
+			w.nics[1].Crash()
+			// Probe failure surfaces after the RC retry horizon (≈160 ms).
+			w.eng.RunFor(600 * sim.Millisecond)
 
-	if w.ctxs[0].Stats.KeepaliveFails == 0 {
-		t.Fatal("keepalive never declared the crashed peer dead")
-	}
-	if !cli.Closed() {
-		t.Fatal("dead channel not reclaimed — connection leak")
-	}
-	if w.ctxs[0].NumChannels() != 0 {
-		t.Fatalf("context still tracks %d channels after reclamation", w.ctxs[0].NumChannels())
-	}
-	if closeErr != ErrPeerDead {
-		t.Fatalf("close reason = %v, want ErrPeerDead", closeErr)
-	}
-	tel := telemetry.For(w.eng)
-	if _, ok := dumpNaming(tel, "keepalive.fail"); !ok {
-		t.Fatal("no flight dump names keepalive.fail")
+			ctx := w.ctxs[0]
+			if ctx.Stats.KeepaliveFails == 0 {
+				t.Fatal("keepalive never declared the crashed peer dead")
+			}
+			for k, cli := range clients {
+				if !cli.Closed() {
+					t.Fatalf("dead channel %d not reclaimed — connection leak", k)
+				}
+				if closeErrs[k] != ErrPeerDead {
+					t.Fatalf("channel %d close reason = %v, want ErrPeerDead", k, closeErrs[k])
+				}
+			}
+			if ctx.Stats.RecoverAttempts != tc.redials || ctx.Stats.ChannelsBroken != int64(tc.chans) {
+				t.Fatalf("redials=%d broken=%d, want %d and %d", ctx.Stats.RecoverAttempts, ctx.Stats.ChannelsBroken, tc.redials, tc.chans)
+			}
+			if ctx.NumChannels() != 0 {
+				t.Fatalf("context still tracks %d channels after reclamation", ctx.NumChannels())
+			}
+			if len(ctx.muxByQPN) != 0 || len(ctx.muxRecoverIdx) != 0 {
+				t.Fatalf("shared-QP indexes leak: muxByQPN=%d muxRecoverIdx=%d", len(ctx.muxByQPN), len(ctx.muxRecoverIdx))
+			}
+			tel := telemetry.For(w.eng)
+			if _, ok := dumpNaming(tel, "keepalive.fail"); !ok {
+				t.Fatal("no flight dump names keepalive.fail")
+			}
+		})
 	}
 }
 

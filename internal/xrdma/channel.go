@@ -76,8 +76,13 @@ type ChannelStats struct {
 // application-layer protocol state).
 type Channel struct {
 	ctx  *Context
-	qp   *rnic.QP
+	qp   *rnic.QP // the QP this channel posts on: its binding's current QP
 	Peer fabric.NodeID
+
+	// b is the binding that owns the QP and its health (binding.go): the
+	// channel's own for an exclusive QP, the shared QP's when muxed, nil
+	// for a lazy descriptor.
+	b *qpBinding
 
 	tx *txWindow
 	rx *rxWindow
@@ -87,10 +92,7 @@ type Channel struct {
 
 	recvBufs map[uint64]Buffer // recv WR id → buffer (per-channel mode)
 
-	lastComm     sim.Time
 	lastProgress sim.Time
-	kaProbeAt    sim.Time
-	kaProbing    bool
 
 	recvSinceAck int
 	lastAckVal   uint64
@@ -121,15 +123,12 @@ type Channel struct {
 	mockQPN uint32
 
 	// Health state machine (chaos hardening).
-	health      HealthState
-	degradedAt  sim.Time
-	peerQPN     uint32 // peer's latest QPN — refreshed on every adoption
-	peerQPN0    uint32 // peer's QPN at establishment — immutable channel identity
-	recEpoch    uint64 // invalidates stale recovery dials
-	recAttempts int
-	qpns        []uint32 // every local QPN this channel has owned (recoverIdx keys)
-	resumeOnRx  bool     // passive side: hold replay until the peer's QP is live
-	onHealth    func(HealthState)
+	health     HealthState
+	degradedAt sim.Time
+	peerQPN    uint32 // peer's latest QPN — refreshed on every adoption
+	peerQPN0   uint32 // peer's QPN at establishment — immutable channel identity
+	resumeOnRx bool   // passive side: hold replay until the peer's QP is live
+	onHealth   func(HealthState)
 
 	// sent keeps windowed messages by sequence until acked, so a
 	// recovery or fallback cutover can replay the unacked tail
@@ -138,10 +137,10 @@ type Channel struct {
 	sent  map[uint64]*pendingSend
 	pulls map[uint64]bool
 
-	// Gray-failure plane (pathdoctor.go): the per-path scorer, the
-	// request-retry token bucket and the receiver-side idempotency cache
-	// that makes retried requests exactly-once at the application.
-	doctor        pathDoctor
+	// Gray-failure plane (pathdoctor.go; the scorer itself lives on the
+	// binding): the verdict observer, the request-retry token bucket and
+	// the receiver-side idempotency cache that makes retried requests
+	// exactly-once at the application.
 	onPathVerdict func(PathVerdict)
 	retryTokens   float64
 	respCache     map[uint64]*respEntry
@@ -576,13 +575,13 @@ func (c *Context) newChannel(conn *verbs.Conn, bufs []Buffer) *Channel {
 		tx:           newTxWindow(c.cfg.WindowDepth),
 		peerQPN:      conn.QP.RemoteQPN,
 		peerQPN0:     conn.QP.RemoteQPN,
-		lastComm:     c.eng.Now(),
 		lastProgress: c.eng.Now(),
 		OpenedAt:     c.eng.Now(),
 		retryTokens:  retryBudgetCap,
 	}
+	ch.b = &qpBinding{c: c, plane: ch, peer: ch.Peer, qp: conn.QP, lastComm: c.eng.Now()}
 	ch.rx = newRxWindow(c.cfg.WindowDepth)
-	c.channels[ch.qp.QPN] = ch
+	c.putChannel(ch)
 	c.indexChannel(ch, ch.qp.QPN)
 	c.Stats.ChannelsOpened++
 	// Post the pre-allocated standing receive pool — the buffers whose
@@ -638,8 +637,8 @@ func (ch *Channel) registerGauges() {
 		{"inflight", func() int64 { return int64(ch.tx.inflight()) }},
 		{"state", func() int64 { return int64(ch.health) }},
 		{"path_score", func() int64 { return ch.PathScore() }},
-		{"path_verdict", func() int64 { return int64(ch.doctorRef().verdict) }},
-		{"rehashes", func() int64 { return ch.doctorRef().rehashes }},
+		{"path_verdict", func() int64 { return int64(ch.PathVerdict()) }},
+		{"rehashes", func() int64 { return ch.Rehashes() }},
 		{"req_retries", func() int64 { return ch.Counters.ReqRetries }},
 		{"reads", func() int64 { return ch.Counters.Reads }},
 		{"writes", func() int64 { return ch.Counters.Writes }},
@@ -815,16 +814,8 @@ func (ch *Channel) teardown(err error) {
 			ch.attach = attachLazy
 			c.attachRelease()
 		}
-	} else if ch.qp != nil {
-		delete(c.channels, ch.qp.QPN)
 	} else {
-		// Rehydrated channel that never re-adopted a QP: it sits in the
-		// channel table under its pre-restart QPNs (drain.go).
-		for _, q := range ch.qpns {
-			if c.channels[q] == ch {
-				delete(c.channels, q)
-			}
-		}
+		c.dropChannel(ch)
 	}
 	for i, w := range c.mockWaiters {
 		if w == ch {
@@ -878,12 +869,13 @@ func (ch *Channel) teardown(err error) {
 		ch.tx.rewind()
 	}
 	ch.tenantRewind()
-	for _, q := range ch.qpns {
-		if c.recoverIdx[q] == ch {
-			delete(c.recoverIdx, q)
+	if ch.cid == 0 {
+		for _, q := range ch.b.qpns {
+			if c.recoverIdx[q] == ch {
+				delete(c.recoverIdx, q)
+			}
 		}
 	}
-	ch.recEpoch++ // strand any in-flight recovery dial
 	// Receive buffers back to the cache, and the flyweight maps back to
 	// nil — a closed channel costs only its struct.
 	for id, buf := range ch.recvBufs {
@@ -969,67 +961,6 @@ func (ch *Channel) setHealth(h HealthState) {
 	if ch.onHealth != nil {
 		ch.onHealth(h)
 	}
-}
-
-// --- keepalive (§V-A) --------------------------------------------------------
-
-func (ch *Channel) keepaliveCheck(now sim.Time) {
-	if ch.closed || ch.mock != nil || ch.health != HealthHealthy || ch.resumeOnRx {
-		return
-	}
-	if ch.mx != nil {
-		// Shared-QP channels are probed once per QP (mux.keepalive), not
-		// once per channel — the probe load is O(QPs).
-		return
-	}
-	cfg := &ch.ctx.cfg
-	if ch.kaProbing {
-		// The probe is a reliable RC write: its failure (retry
-		// exhaustion) arrives through the completion below, so the
-		// wall-clock backstop must sit above the RC retry horizon —
-		// declaring death while the NIC is still legitimately
-		// retransmitting would turn every loss burst into a false
-		// positive.
-		nicCfg := &ch.ctx.vctx.NIC.Cfg
-		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
-		if cfg.KeepaliveTimeout > deadline {
-			deadline = cfg.KeepaliveTimeout
-		}
-		if now.Sub(ch.kaProbeAt) > deadline {
-			ch.ctx.Stats.KeepaliveFails++
-			ch.ctx.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(ch.ctx.Node()), ch.qp.QPN)
-			ch.ctx.tel.Trace.Instant("keepalive.fail", ch.ctx.track, now, int64(ch.Peer))
-			ch.ctx.logf("keepalive: peer %d unreachable, reclaiming channel qpn=%d", ch.Peer, ch.qp.QPN)
-			ch.fail(ErrPeerDead)
-		}
-		return
-	}
-	if now.Sub(ch.lastComm) < cfg.KeepaliveInterval {
-		return
-	}
-	// Probe: zero-byte RDMA write — acked by the peer RNIC without
-	// waking its application or touching RDMA-enabled memory.
-	ch.kaProbing = true
-	ch.kaProbeAt = now
-	ch.ctx.Stats.KeepaliveProbes++
-	ch.ctx.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(ch.ctx.Node()), ch.qp.QPN, int64(ch.Peer), 0)
-	ch.ctx.tel.Trace.Instant("keepalive.probe", ch.ctx.track, now, int64(ch.Peer))
-	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	ch.ctx.flow.postDirect(ch.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
-		if ch.closed {
-			return
-		}
-		ch.kaProbing = false
-		if cqe.Status != rnic.StatusOK {
-			ch.ctx.Stats.KeepaliveFails++
-			now := ch.ctx.eng.Now()
-			ch.ctx.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(ch.ctx.Node()), ch.qp.QPN)
-			ch.ctx.tel.Trace.Instant("keepalive.fail", ch.ctx.track, now, int64(ch.Peer))
-			ch.fail(ErrPeerDead)
-			return
-		}
-		ch.lastComm = ch.ctx.eng.Now()
-	}})
 }
 
 // --- deadlock breaker (§V-B) --------------------------------------------------

@@ -34,10 +34,11 @@ type Context struct {
 	srqPrimed      bool              // first fill done (deferred: see ensureSRQ)
 	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
 
-	channels map[uint32]*Channel // by local QPN
-	wrs      map[uint64]wrEntry  // posted send WRs by id (flowctl.go)
-	wrSeq    uint64
-	msgSeq   uint64
+	channels  map[uint32]*Channel // by local QPN
+	exclusive []*qpBinding        // their bindings by ascending QPN: the scan order (binding.go)
+	wrs       map[uint64]wrEntry  // posted send WRs by id (flowctl.go)
+	wrSeq     uint64
+	msgSeq    uint64
 
 	// One-sided plane (onesided.go): exposed MR windows by window id.
 	windows map[uint64]*Window
@@ -55,9 +56,10 @@ type Context struct {
 	pollTickFn, eventWakeFn                         func()
 	keepaliveScanFn, deadlockScanFn, housekeepingFn func()
 
-	// Per-message state pools (pool.go), and the deadlock scan's reused
-	// channel snapshot.
+	// Per-message state pools (pool.go), and the scans' snapshot buffers
+	// reused across ticks.
 	pools     pools
+	scanBinds []*qpBinding
 	scanChans []*Channel
 
 	// Hybrid polling state (§IV-B).
@@ -597,19 +599,7 @@ func (c *Context) deadlockTick() {
 	if !c.started {
 		return
 	}
-	for _, ch := range c.channels {
-		ch.deadlockCheck()
-	}
-	// A NOP whose post fails synchronously can fail the shared QP and,
-	// with no redial budget, detach its channels mid-walk — so each QP's
-	// set is snapshotted, into a buffer reused across ticks.
-	for _, mx := range c.muxQPs {
-		c.scanChans = mx.appendChannels(c.scanChans[:0])
-		for _, ch := range c.scanChans {
-			ch.deadlockCheck()
-		}
-	}
-	clear(c.scanChans)
+	c.scanBindings((*qpBinding).deadlockScan)
 	c.armDeadlockScan()
 }
 
@@ -644,25 +634,19 @@ func (c *Context) timeoutScan() {
 	}
 }
 
-// sortedChannels snapshots the channel set in ascending QPN order. Every
-// housekeeping scan that makes order-dependent decisions (retry-token
-// spending, RNG draws, backoff scheduling) must walk channels through
-// this, never the map — map iteration order is randomized and would leak
-// into the deterministic digests.
+// sortedChannels snapshots the channel set: exclusive channels in
+// ascending QPN order, then mux-plane channels in ascending cid order.
+// Every housekeeping scan that makes order-dependent decisions
+// (retry-token spending, RNG draws, backoff scheduling) must walk
+// channels through this or the scan list, never the maps — map iteration
+// order is randomized and would leak into the deterministic digests.
 func (c *Context) sortedChannels() []*Channel {
-	if len(c.channels) == 0 && len(c.chanByCID) == 0 {
+	if len(c.exclusive) == 0 && len(c.chanByCID) == 0 {
 		return nil
 	}
-	qpns := make([]int, 0, len(c.channels))
-	for q := range c.channels {
-		qpns = append(qpns, int(q))
-	}
-	sort.Ints(qpns)
-	chs := make([]*Channel, 0, len(qpns)+len(c.chanByCID))
-	for _, q := range qpns {
-		if ch := c.channels[uint32(q)]; ch != nil {
-			chs = append(chs, ch)
-		}
+	chs := make([]*Channel, 0, len(c.exclusive)+len(c.chanByCID))
+	for _, b := range c.exclusive {
+		chs = b.plane.appendRiders(chs)
 	}
 	// Mux-plane channels follow in ascending-cid order: cids are handed out
 	// monotonically, so each shared QP's creation-order cid slice is already
@@ -686,15 +670,14 @@ func (c *Context) keepaliveScan() {
 	if c.cfg.KeepaliveInterval <= 0 {
 		return
 	}
-	now := c.eng.Now()
-	for _, ch := range c.channels {
-		ch.keepaliveCheck(now)
-	}
-	// Shared QPs probe once per QP, not once per channel: liveness is a
-	// property of the transport underneath, and O(QPs) probes is the point
-	// of multiplexing.
-	for _, mx := range c.muxQPs {
-		mx.keepalive(now)
+	// One probe per QP, not per channel: liveness is a property of the
+	// transport underneath, and O(QPs) probes is the point of multiplexing.
+	c.scanBindings((*qpBinding).keepalive)
+}
+
+func (c *Context) pathScan() {
+	if c.cfg.PathDoctor {
+		c.scanBindings((*qpBinding).pathScan)
 	}
 }
 

@@ -296,12 +296,12 @@ type handoffMsg struct {
 func (c *Context) encodeHandoff() []byte {
 	var recs []handoffChan
 	for _, ch := range c.sortedChannels() {
-		if ch.cid != 0 || ch.closed || ch.mock != nil || len(ch.qpns) == 0 {
+		if ch.cid != 0 || ch.closed || ch.mock != nil || len(ch.b.qpns) == 0 {
 			continue
 		}
 		r := handoffChan{
 			peer:     ch.Peer,
-			qpns:     ch.qpns,
+			qpns:     ch.b.qpns,
 			peerQPN:  ch.peerQPN,
 			peerQPN0: ch.peerQPN0,
 			negVer:   ch.negVer,
@@ -533,8 +533,7 @@ func (c *Context) Shutdown() {
 		if ch.closed {
 			continue
 		}
-		ch.closed = true
-		ch.recEpoch++ // strand in-flight recovery dials
+		ch.closed = true // strands in-flight recovery dials
 		ch.unregisterGauges()
 		ch.cancelAck()
 		if ch.mock != nil {
@@ -544,6 +543,7 @@ func (c *Context) Shutdown() {
 		}
 	}
 	c.channels = make(map[uint32]*Channel)
+	c.exclusive = nil
 	if c.chanByCID != nil {
 		c.chanByCID = make(map[uint32]*Channel)
 	}
@@ -598,13 +598,13 @@ func (c *Context) Rehydrate(blob []byte) error {
 			peerQPN0:     r.peerQPN0,
 			health:       HealthDegraded,
 			degradedAt:   now,
-			lastComm:     now,
 			lastProgress: now,
 			OpenedAt:     now,
 			retryTokens:  retryBudgetCap,
 			negVer:       r.negVer,
 			peerCaps:     r.caps,
 		}
+		ch.b = &qpBinding{c: c, plane: ch, peer: r.peer, lastComm: now}
 		ch.tx = newTxWindow(c.cfg.WindowDepth)
 		ch.tx.seq, ch.tx.acked = r.txFloor, r.txFloor
 		ch.rx = newRxWindow(c.cfg.WindowDepth)
@@ -631,7 +631,7 @@ func (c *Context) Rehydrate(blob []byte) error {
 		for _, q := range r.qpns {
 			c.indexChannel(ch, q)
 		}
-		c.channels[r.qpns[len(r.qpns)-1]] = ch
+		c.putChannel(ch)
 		c.Stats.Rehydrated++
 		c.Stats.ChannelsOpened++
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.qpns[len(r.qpns)-1], int64(r.peer), drainEvRehydrate)
@@ -640,17 +640,7 @@ func (c *Context) Rehydrate(blob []byte) error {
 		if c.onChannel != nil {
 			c.onChannel(ch)
 		}
-		if c.Node() < ch.Peer {
-			ch.scheduleRecoverDial(errRestartHandoff)
-		} else {
-			epoch := ch.recEpoch
-			c.eng.AfterBg(c.recoverGrace(), func() {
-				if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-					return
-				}
-				ch.proceedToFallback(errRestartHandoff)
-			})
-		}
+		ch.b.startRecovery(c.Node() < ch.Peer, errRestartHandoff)
 	}
 	return nil
 }

@@ -33,10 +33,11 @@ type flowItem struct {
 type wrKind uint8
 
 const (
-	wrCallback wrKind = iota // cb (nil: no completion wanted): keepalive probes, one-sided writes
-	wrSend                   // a frame of channel ps.ch (data or control)
-	wrMuxCtrl                // a mux-plane control frame of mx
-	wrFetch                  // one READ fragment of fetch fo
+	wrCallback  wrKind = iota // cb (nil: no completion wanted): one-sided writes
+	wrSend                    // a frame of channel ps.ch (data or control)
+	wrMuxCtrl                 // a mux-plane control frame of mx
+	wrFetch                   // one READ fragment of fetch fo
+	wrKeepalive               // a keepalive probe of binding b
 )
 
 // wrEntry is the context's record of a posted WR, keyed by WR id: a value
@@ -47,6 +48,7 @@ type wrEntry struct {
 	counted bool // holds a flowCtl outstanding slot (RDMA READ)
 	ps      *pendingSend
 	mx      *muxQP
+	b       *qpBinding
 	fo      *fetchOp
 	sched   *sqSched // DRR scheduler the WR went through (tenanted mux)
 	gen     uint64   // sched generation at post
@@ -67,6 +69,8 @@ func (c *Context) completeWR(e wrEntry, cqe rnic.CQE) {
 		e.mx.ctrlCompletion(e.ps, cqe)
 	case wrFetch:
 		c.fragmentDone(e.fo, cqe.Status)
+	case wrKeepalive:
+		e.b.probeDone(cqe)
 	default:
 		if e.cb != nil {
 			e.cb(cqe)

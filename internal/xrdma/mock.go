@@ -174,7 +174,7 @@ func (ch *Channel) enterMockMode(cause error) {
 	ch.mock = &mockState{}
 	ch.mockQPN = ch.qp.QPN
 	ch.setHealth(HealthFallback)
-	ch.recEpoch++ // strand any in-flight recovery dial
+	ch.b.newEpoch() // strand any in-flight recovery dial and probe
 	ch.resumeOnRx = false
 
 	// Staged rendezvous payloads are RDMA-only; the mock transport sends
@@ -203,13 +203,12 @@ func (ch *Channel) enterMockMode(cause error) {
 	// receive buffers return to the memory cache. The XR-Stat row goes
 	// with them — the recycled QPN may soon host a new channel.
 	ch.unregisterGauges()
-	delete(c.channels, ch.qp.QPN)
+	c.dropChannel(ch)
 	for id, buf := range ch.recvBufs {
 		delete(ch.recvBufs, id)
 		c.Mem.Free(buf)
 	}
 	ch.cancelAck()
-	ch.kaProbing = false
 	ch.nopInFlight = false
 	ch.stallFlag = false
 	c.QPs.Put(ch.qp)
@@ -357,7 +356,6 @@ func (ch *Channel) mockInbound(m tcpnet.Message) {
 	if err != nil {
 		return
 	}
-	ch.lastComm = ch.ctx.eng.Now()
 	var pay []byte
 	if size := int(h.Size); size > 0 && m.Data != nil && len(m.Data) >= hdrLen+size {
 		pay = m.Data[hdrLen : hdrLen+size]

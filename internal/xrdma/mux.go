@@ -25,7 +25,8 @@ import (
 // serializes deterministically instead of thundering onto the CM.
 //
 // Failure domains move with the sharing: keepalive probes, path-doctor
-// scoring and ECMP re-pathing, and health recovery all run per shared QP.
+// scoring and ECMP re-pathing, and health recovery all run per shared QP
+// — on the QP binding muxQP embeds (binding.go).
 // One sick QP rotates its flow label once for all attached channels; one
 // broken QP re-establishes once, and every attached channel replays its
 // unacked window tail over the replacement — the Algorithm 1 dedup makes
@@ -61,15 +62,15 @@ type peerMux struct {
 	next  int
 }
 
-// muxQP is one shared QP and the channels multiplexed onto it.
+// muxQP is one shared QP and the channels multiplexed onto it. The
+// embedded binding owns the QP (qp, qpns), its keepalive, path doctor and
+// redial loop; the channels are its riders.
 type muxQP struct {
-	c         *Context
+	qpBinding
 	pm        *peerMux // nil on the passive (accepting) side
 	slot      int
 	initiator bool
-	peer      fabric.NodeID
 	port      int // establishment port — also the reattach rendezvous
-	qp        *rnic.QP
 	state     muxQPState
 	dead      bool
 
@@ -77,24 +78,10 @@ type muxQP struct {
 	peerCIDs map[uint32]uint32   // peer cid → local cid (CHAN_OPEN dedup)
 	cids     []uint32            // attach order == ascending cid (deterministic walks)
 
-	epoch    uint64 // invalidates stale dials/timers
-	attempts int
-	qpns     []uint32 // every local QPN this mux QP has owned
-
-	lastComm  sim.Time
-	kaProbing bool
-	kaProbeAt sim.Time
-
 	// Hot-upgrade plane: the version and capability set every channel on
 	// this shared QP inherits (0/0 = legacy v1 + baselineCaps).
 	negVer   uint8
 	peerCaps uint32
-
-	// The shared-QP path doctor: counters on a shared QP aggregate every
-	// channel's symptoms, so scoring (and the flow-label rotation cure)
-	// must run once per QP — per-channel doctors would each see the full
-	// delta and rotate the label K times per sick scan.
-	doctor pathDoctor
 
 	// Weighted DRR at the shared SQ; nil unless the context is tenanted.
 	sched *sqSched
@@ -223,7 +210,7 @@ func (c *Context) ChannelTo(node fabric.NodeID, port int, opts ...ChannelOpt) (*
 	now := c.eng.Now()
 	ch := &Channel{
 		ctx: c, Peer: node, cid: c.nextCID(), muxPort: port,
-		attach: attachLazy, lastComm: now, lastProgress: now, OpenedAt: now,
+		attach: attachLazy, lastProgress: now, OpenedAt: now,
 		retryTokens: retryBudgetCap,
 	}
 	for _, opt := range opts {
@@ -275,7 +262,7 @@ func (ch *Channel) startAttach() {
 	ch.attach = attachPending
 	c.attachActive++
 	mx := c.muxFor(ch.Peer, ch.muxPort)
-	ch.mx = mx
+	ch.mx, ch.b = mx, &mx.qpBinding
 	mx.enroll(ch)
 }
 
@@ -364,25 +351,26 @@ func (c *Context) muxFor(peer fabric.NodeID, port int) *muxQP {
 
 func (c *Context) newMuxQP(pm *peerMux, slot int) *muxQP {
 	mx := &muxQP{
-		c: c, pm: pm, slot: slot, initiator: true, peer: pm.peer, port: pm.port,
+		pm: pm, slot: slot, initiator: true, port: pm.port,
 		state:    muxDialing,
 		chans:    make(map[uint32]*Channel),
 		peerCIDs: make(map[uint32]uint32),
 	}
+	mx.qpBinding = qpBinding{c: c, plane: mx, peer: pm.peer}
 	mx.initSched()
 	c.muxQPs = append(c.muxQPs, mx)
 	epoch := mx.epoch
 	hello := c.muxHelloBytes(slot, false, 0)
 	c.ensureSRQ()
 	c.cm.Connect(pm.peer, pm.port, hello, nil, c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(conn *verbs.Conn, err error) {
-		if mx.epoch != epoch || mx.dead {
+		if mx.stale(epoch) {
 			if err == nil {
 				c.vctx.NIC.DestroyQP(conn.QP)
 			}
 			return
 		}
 		if err != nil {
-			mx.teardownAll(fmt.Errorf("xrdma: mux dial to %d:%d: %w", pm.peer, pm.port, err))
+			mx.giveUp(fmt.Errorf("xrdma: mux dial to %d:%d: %w", pm.peer, pm.port, err))
 			return
 		}
 		mx.established(conn)
@@ -399,21 +387,22 @@ func (mx *muxQP) established(conn *verbs.Conn) {
 		mx.peerCaps = verdict.caps
 	}
 	mx.installQP(conn.QP)
-	mx.state = muxReady
-	mx.lastComm = mx.c.eng.Now()
-	for _, ch := range mx.channels() {
+	for _, ch := range mx.appendRiders(nil) {
 		if ch.attach == attachPending {
 			mx.sendChanOpen(ch)
 		}
 	}
 }
 
+// installQP makes qp the shared QP, ready to carry traffic.
 func (mx *muxQP) installQP(qp *rnic.QP) {
 	c := mx.c
 	mx.qp = qp
 	c.muxByQPN[qp.QPN] = mx
 	c.muxRecoverIdx[qp.QPN] = mx
 	mx.qpns = append(mx.qpns, qp.QPN)
+	mx.state = muxReady
+	mx.lastComm = c.eng.Now()
 }
 
 // enroll attaches a channel to this mux QP; the CHAN_OPEN goes out as
@@ -440,14 +429,9 @@ func (mx *muxQP) detach(ch *Channel) {
 	}
 }
 
-// channels snapshots attached channels in ascending cid order (cids are
+// appendRiders appends the live channels in ascending cid order (cids are
 // assigned monotonically, so attach order is already sorted).
-func (mx *muxQP) channels() []*Channel {
-	return mx.appendChannels(make([]*Channel, 0, len(mx.cids)))
-}
-
-// appendChannels appends the channels() snapshot to dst.
-func (mx *muxQP) appendChannels(dst []*Channel) []*Channel {
+func (mx *muxQP) appendRiders(dst []*Channel) []*Channel {
 	for _, cid := range mx.cids {
 		if ch := mx.chans[cid]; ch != nil && !ch.closed {
 			dst = append(dst, ch)
@@ -549,12 +533,13 @@ func (c *Context) acceptMux(req *verbs.ConnReq, hello muxHello, port int) {
 		return
 	}
 	mx := &muxQP{
-		c: c, slot: hello.slot, initiator: false, peer: req.From, port: port,
+		slot: hello.slot, initiator: false, port: port,
 		state:    muxDialing,
 		chans:    make(map[uint32]*Channel),
 		peerCIDs: make(map[uint32]uint32),
 		negVer:   ver, peerCaps: caps,
 	}
+	mx.qpBinding = qpBinding{c: c, plane: mx, peer: req.From}
 	if hello.neg {
 		req.ReplyData = encodeChanHello(chanHello{minVer: ver, maxVer: ver, caps: caps})
 	}
@@ -568,8 +553,6 @@ func (c *Context) acceptMux(req *verbs.ConnReq, hello muxHello, port int) {
 				return
 			}
 			mx.installQP(conn.QP)
-			mx.state = muxReady
-			mx.lastComm = c.eng.Now()
 		})
 	})
 }
@@ -637,7 +620,6 @@ func (mx *muxQP) handleRecv(cqe rnic.CQE) {
 		if size := int(h.Size); size > 0 && len(cqe.Data) >= hdrLen+size {
 			pay = cqe.Data[hdrLen : hdrLen+size]
 		}
-		ch.lastComm = mx.lastComm
 		ch.handleWire(&h, pay, false, cqe.Blame)
 	}
 }
@@ -662,10 +644,10 @@ func (mx *muxQP) handleChanOpen(h *wireHdr) {
 	}
 	now := c.eng.Now()
 	ch := &Channel{
-		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, mx: mx, qp: mx.qp,
+		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, mx: mx, b: &mx.qpBinding, qp: mx.qp,
 		muxPort: int(h.MsgID),
 		tx:      newTxWindow(c.cfg.WindowDepth), rx: newRxWindow(c.cfg.WindowDepth),
-		lastComm: now, lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
+		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
 	}
 	ch.setNegotiated(mx.negVer, mx.peerCaps)
 	if h.Flags&flagTenant != 0 && len(c.tenants) > 0 {
@@ -693,53 +675,6 @@ func (mx *muxQP) handleChanAccept(h *wireHdr) {
 	ch.finishAttach(nil)
 }
 
-// --- shared-QP keepalive (§V-A at mux granularity) ---------------------------
-
-// keepalive probes one shared QP: one zero-byte write covers every
-// attached channel, so the probe load is O(QPs), not O(channels).
-func (mx *muxQP) keepalive(now sim.Time) {
-	if mx.dead || mx.state != muxReady {
-		return
-	}
-	c := mx.c
-	cfg := &c.cfg
-	if mx.kaProbing {
-		nicCfg := &c.vctx.NIC.Cfg
-		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
-		if cfg.KeepaliveTimeout > deadline {
-			deadline = cfg.KeepaliveTimeout
-		}
-		if now.Sub(mx.kaProbeAt) > deadline {
-			c.Stats.KeepaliveFails++
-			c.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(c.Node()), mx.qp.QPN)
-			c.logf("keepalive: peer %d unreachable, failing mux qpn=%d (%d channels)", mx.peer, mx.qp.QPN, len(mx.chans))
-			mx.fail(ErrPeerDead)
-		}
-		return
-	}
-	if now.Sub(mx.lastComm) < cfg.KeepaliveInterval {
-		return
-	}
-	mx.kaProbing = true
-	mx.kaProbeAt = now
-	c.Stats.KeepaliveProbes++
-	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), mx.qp.QPN, int64(mx.peer), 0)
-	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	c.flow.postDirect(mx.qp, wr, wrEntry{cb: func(cqe rnic.CQE) {
-		if mx.dead || cqe.QPN != mx.qp.QPN {
-			return // stale completion from a replaced QP
-		}
-		mx.kaProbing = false
-		if cqe.Status != rnic.StatusOK {
-			c.Stats.KeepaliveFails++
-			c.tel.Flight.Trip(c.eng.Now(), telemetry.CatKeepaliveFail, int32(c.Node()), mx.qp.QPN)
-			mx.fail(ErrPeerDead)
-			return
-		}
-		mx.lastComm = c.eng.Now()
-	}})
-}
-
 // --- shared-QP recovery ------------------------------------------------------
 
 // fail parks every attached channel and starts re-establishing the
@@ -751,7 +686,7 @@ func (mx *muxQP) fail(cause error) {
 		return
 	}
 	if mx.state == muxDialing {
-		mx.teardownAll(cause)
+		mx.giveUp(cause)
 		return
 	}
 	if !mx.initiator {
@@ -766,84 +701,50 @@ func (mx *muxQP) fail(cause error) {
 		h.encode(buf)
 		c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, wrEntry{})
 	}
-	now := c.eng.Now()
 	mx.state = muxDegraded
-	mx.epoch++
-	mx.attempts = 0
-	mx.kaProbing = false
 	if mx.sched != nil {
 		// Queued unposted frames drop here; requeueUnacked replays them
 		// through the scheduler after adoption.
 		mx.sched.reset()
 	}
-	c.Stats.Degraded++
-	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), mx.qp.QPN)
-	c.tel.Trace.Instant("mux.degraded", c.track, now, int64(mx.peer))
-	c.logf("mux qpn=%d peer=%d degraded (%d channels): %v", mx.qp.QPN, mx.peer, len(mx.chans), cause)
-	for _, ch := range mx.channels() {
-		if ch.attach != attachDone {
-			continue // still waiting for accept; re-opened after recovery
-		}
-		ch.setHealth(HealthDegraded)
-		ch.degradedAt = now
-		ch.cancelAck()
-		ch.kaProbing = false
-		ch.nopInFlight = false
-		ch.stallFlag = false
-	}
-	if mx.initiator {
-		mx.scheduleRedial(cause)
-		return
-	}
-	epoch := mx.epoch
-	c.eng.AfterBg(c.recoverGrace(), func() {
-		if mx.dead || mx.epoch != epoch || mx.state == muxReady {
-			return
-		}
-		mx.teardownAll(cause)
-	})
+	mx.degrade(cause, mx.initiator)
 }
 
-func (mx *muxQP) scheduleRedial(cause error) {
-	c := mx.c
-	if mx.attempts >= c.cfg.RecoverRetries {
-		mx.teardownAll(cause)
-		return
+// The shared QP is its binding's plane (binding.go): it scores and probes
+// while ready, only the initiator dials, and giving up tears down every
+// channel on it.
+
+func (mx *muxQP) gone() bool      { return mx.dead }
+func (mx *muxQP) serving() bool   { return !mx.dead && mx.state == muxReady }
+func (mx *muxQP) probeable() bool { return mx.serving() }
+func (mx *muxQP) sendPathHint()   { mx.sendCtrl(&wireHdr{Kind: kindPathHint}) }
+
+func (mx *muxQP) setDialing(on bool) {
+	if on {
+		mx.state = muxRecovering
+	} else {
+		mx.state = muxDegraded
 	}
-	epoch := mx.epoch
-	c.eng.AfterBg(recoverBackoffDur(c, mx.attempts), func() {
-		if mx.dead || mx.epoch != epoch || mx.state != muxDegraded {
-			return
-		}
-		mx.tryRedial(cause)
-	})
 }
 
-func (mx *muxQP) tryRedial(cause error) {
+// redial dials a replacement for the broken shared QP, naming it in a
+// reattach hello. Shared QPs are SRQ-bound and never come from the QP
+// cache, so the timeout (muxDialTimeout, which covers QP creation on
+// both sides) is armed before the dial.
+func (mx *muxQP) redial(epoch uint64, onFail func()) {
 	c := mx.c
-	if !c.vctx.NIC.Alive() {
-		mx.attempts++
-		mx.scheduleRedial(cause)
-		return
-	}
-	mx.state = muxRecovering
-	mx.attempts++
-	c.Stats.RecoverAttempts++
-	mx.epoch++
-	epoch := mx.epoch
 	settled := false
 	c.eng.AfterBg(c.muxDialTimeout(), func() {
-		if settled || mx.dead || mx.epoch != epoch {
+		if settled || mx.stale(epoch) {
 			return
 		}
 		settled = true
-		mx.state = muxDegraded
-		mx.scheduleRedial(cause)
+		onFail()
 	})
 	hello := c.muxHelloBytes(mx.slot, true, mx.qp.RemoteQPN)
 	c.ensureSRQ()
 	c.cm.Connect(mx.peer, mx.port, hello, nil, c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(conn *verbs.Conn, err error) {
-		if settled || mx.dead || mx.epoch != epoch {
+		if settled || mx.stale(epoch) {
 			if err == nil {
 				c.vctx.NIC.DestroyQP(conn.QP)
 			}
@@ -851,8 +752,7 @@ func (mx *muxQP) tryRedial(cause error) {
 		}
 		settled = true
 		if err != nil {
-			mx.state = muxDegraded
-			mx.scheduleRedial(cause)
+			onFail()
 			return
 		}
 		mx.adopt(conn, true)
@@ -860,10 +760,8 @@ func (mx *muxQP) tryRedial(cause error) {
 }
 
 // adopt swaps in the replacement shared QP and resumes every attached
-// channel: each replays its unacked tail through the normal pump (the
-// receiver's window dedups survivors), pending attaches re-send their
-// CHAN_OPEN, and the passive side holds each channel's replay until the
-// dialer's per-channel NOP beacon proves the new QP is in RTS.
+// channel on it (each replays its own unacked tail; the receiver's window
+// dedups survivors); pending attaches re-send their CHAN_OPEN.
 func (mx *muxQP) adopt(conn *verbs.Conn, initiator bool) {
 	c := mx.c
 	now := c.eng.Now()
@@ -875,12 +773,7 @@ func (mx *muxQP) adopt(conn *verbs.Conn, initiator bool) {
 		c.vctx.NIC.DestroyQP(mx.qp)
 	}
 	mx.installQP(conn.QP)
-	mx.state = muxReady
-	mx.epoch++
-	mx.attempts = 0
-	mx.kaProbing = false
-	mx.lastComm = now
-	mx.doctor.resetEpisode()
+	mx.adopted(now)
 	if mx.sched != nil {
 		mx.sched.reset()
 	}
@@ -888,7 +781,7 @@ func (mx *muxQP) adopt(conn *verbs.Conn, initiator bool) {
 	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), mx.qp.QPN, int64(mx.peer), int64(len(mx.chans)))
 	c.tel.Trace.Instant("mux.recovered", c.track, now, int64(mx.peer))
 	c.logf("mux peer=%d recovered on qpn=%d (%d channels, initiator=%v)", mx.peer, mx.qp.QPN, len(mx.chans), initiator)
-	for _, ch := range mx.channels() {
+	for _, ch := range mx.appendRiders(nil) {
 		if ch.attach != attachDone {
 			if initiator && ch.attach == attachPending {
 				mx.sendChanOpen(ch)
@@ -896,40 +789,25 @@ func (mx *muxQP) adopt(conn *verbs.Conn, initiator bool) {
 			continue
 		}
 		ch.qp = mx.qp
-		ch.requeueUnacked()
-		ch.kaProbing = false
-		ch.nopInFlight = false
-		ch.stallFlag = false
-		ch.lastComm = now
-		ch.lastProgress = now
-		ch.pulls = nil
-		ch.setHealth(HealthHealthy)
-		if initiator {
-			ch.resumeOnRx = false
-			ch.sendCtrl(kindNop) // per-channel beacon: our QP is RTS
-			ch.pump()
-		} else {
-			ch.resumeOnRx = true
-		}
+		ch.resume(now, initiator)
 	}
 }
 
-// teardownAll is the terminal path: the redial budget ran out (or the
-// initial dial failed), so every channel on this QP dies. Muxed channels
-// have no per-channel Mock fallback — the shared QP is the unit of
-// fate (DESIGN §12).
-func (mx *muxQP) teardownAll(cause error) {
+// giveUp is the terminal path: the redial budget ran out (or the initial
+// dial failed), so every channel on this QP dies. Muxed channels have no
+// per-channel Mock fallback — the shared QP is the unit of fate (DESIGN
+// §12).
+func (mx *muxQP) giveUp(cause error) {
 	if mx.dead {
 		return
 	}
-	mx.dead = true
-	mx.epoch++
+	mx.dead = true // strands in-flight dials and timers
 	c := mx.c
 	if mx.sched != nil {
 		mx.sched.reset()
 	}
 	c.logf("mux peer=%d beyond recovery (%d channels): %v", mx.peer, len(mx.chans), cause)
-	for _, ch := range mx.channels() {
+	for _, ch := range mx.appendRiders(nil) {
 		if ch.attach == attachPending || ch.attach == attachQueued {
 			ch.finishAttach(cause)
 			continue
@@ -946,55 +824,5 @@ func (mx *muxQP) teardownAll(cause error) {
 		if c.muxRecoverIdx[q] == mx {
 			delete(c.muxRecoverIdx, q)
 		}
-	}
-}
-
-// --- shared-QP path doctor ---------------------------------------------------
-
-// pathScan runs the gray-failure scorer once per shared QP. The shared
-// QP's counters aggregate every attached channel's symptoms, so one scan
-// (and at most one flow-label rotation) covers them all — per-channel
-// doctors would each see the full counter delta and rotate K times per
-// sick tick. Escalation hands the whole QP to the mux recovery machine.
-func (mx *muxQP) pathScan(now sim.Time) {
-	c := mx.c
-	d := &mx.doctor
-	if mx.dead || mx.qp == nil {
-		return
-	}
-	retx := mx.qp.Counters.Retransmits
-	rnr := mx.qp.Counters.RNRNakRecv
-	corrupt := mx.qp.Counters.CorruptDrops
-	if mx.state != muxReady || !d.inited {
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-	if d.scoreScan(retx, rnr, corrupt) {
-		v := d.verdict
-		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), mx.qp.QPN, int64(v), int64(d.score*100))
-		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
-		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		for _, ch := range mx.channels() {
-			if ch.onPathVerdict != nil {
-				ch.onPathVerdict(v)
-			}
-		}
-	}
-	switch d.verdict {
-	case PathClean:
-		d.sickScans = 0
-		if d.rotations > 0 {
-			d.cleanScans++
-			if d.cleanScans >= pdCleanScansToForgive {
-				d.rotations = 0
-				d.cleanScans = 0
-			}
-		}
-	case PathSuspect:
-		d.cleanScans = 0
-	case PathSick:
-		d.cleanScans = 0
-		d.maybeHint(c, now, func() { mx.sendCtrl(&wireHdr{Kind: kindPathHint}) })
-		d.rotateOrEscalate(c, mx.qp.QPN, now, func(err error) { mx.fail(err) })
 	}
 }

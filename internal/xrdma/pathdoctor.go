@@ -13,7 +13,7 @@ import (
 // heavyweight (QP re-establishment, TCP fallback). Production postmortems
 // are dominated by the other failure shape: a browned-out optic on one
 // spine path that RC go-back-N silently absorbs at a permanent latency
-// and goodput cost. The doctor closes that gap with a per-channel EWMA
+// and goodput cost. The doctor closes that gap with a per-QP EWMA
 // score fed by deltas of counters the stack already keeps (QP
 // retransmits, RNR NAKs, per-QP corrupt drops, RTT inflation against a
 // learned baseline). The verdict — Clean / Suspect / Sick — is about the
@@ -23,9 +23,9 @@ import (
 // deterministic per-flow hash steers the connection onto a different
 // equal-cost path, with seeded label choice, bounded rotations and a
 // cooldown. Only when every tried path stays sick does the doctor
-// escalate to the PR 3 recovery machine via ch.fail.
+// escalate to the PR 3 recovery machine by failing the QP.
 
-// PathVerdict classifies a channel's network path.
+// PathVerdict classifies a QP's network path.
 type PathVerdict uint8
 
 const (
@@ -101,9 +101,10 @@ const (
 	pdHintStreakWindowMul = 8 // × PathRehashCooldown
 )
 
-// pathDoctor is the per-channel scorer state. It lives inside Channel
-// and is driven synchronously from the context housekeeping tick — no
-// events of its own, so a zero-fault run's event sequence is untouched.
+// pathDoctor is the per-QP scorer state. It lives in the QP's binding
+// (binding.go) and is driven synchronously from the context housekeeping
+// tick — no events of its own, so a zero-fault run's event sequence is
+// untouched.
 type pathDoctor struct {
 	score   float64
 	verdict PathVerdict
@@ -179,29 +180,9 @@ func (d *pathDoctor) resetEpisode() {
 	d.inited = false
 }
 
-// pathScan drives every channel's doctor once per housekeeping tick, in
-// QPN order so any seeded label draws consume the RNG deterministically
-// regardless of map iteration order. Shared (mux) QPs are scanned after
-// the exclusive channels, one doctor per QP, in creation order.
-func (c *Context) pathScan() {
-	if !c.cfg.PathDoctor || (len(c.channels) == 0 && len(c.muxQPs) == 0) {
-		return
-	}
-	now := c.eng.Now()
-	for _, ch := range c.sortedChannels() {
-		if ch.mx != nil {
-			continue // scanned through the shared QP below
-		}
-		ch.pathScan(now)
-	}
-	for _, mx := range c.muxQPs {
-		mx.pathScan(now)
-	}
-}
-
 // scoreScan folds one tick's counter deltas and RTT samples into the
 // EWMA score and re-derives the verdict; reports whether the verdict
-// changed. Shared by the per-channel and per-shared-QP scans.
+// changed.
 func (d *pathDoctor) scoreScan(retx, rnr, corrupt int64) bool {
 	dRetx := retx - d.lastRetx
 	dRNR := rnr - d.lastRNR
@@ -270,74 +251,24 @@ func (d *pathDoctor) scoreScan(retx, rnr, corrupt int64) bool {
 	return true
 }
 
-// pathScan runs one scoring pass over this channel.
-func (ch *Channel) pathScan(now sim.Time) {
-	if ch.qp == nil {
-		return // lazy descriptor (or mocked from birth): no path to judge
-	}
-	c := ch.ctx
-	d := &ch.doctor
-	retx := ch.qp.Counters.Retransmits
-	rnr := ch.qp.Counters.RNRNakRecv
-	corrupt := ch.qp.Counters.CorruptDrops
-	if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
-		// Not our jurisdiction: the health machine owns the channel.
-		// Keep the watermarks fresh so recovery traffic isn't blamed.
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-	if !d.inited {
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-
-	if d.scoreScan(retx, rnr, corrupt) {
-		v := d.verdict
-		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), ch.qp.QPN, int64(v), int64(d.score*100))
-		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
-		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		if ch.onPathVerdict != nil {
-			ch.onPathVerdict(v)
-		}
-	}
-
-	switch d.verdict {
-	case PathClean:
-		d.sickScans = 0
-		if d.rotations > 0 {
-			d.cleanScans++
-			if d.cleanScans >= pdCleanScansToForgive {
-				d.rotations = 0
-				d.cleanScans = 0
-			}
-		}
-	case PathSuspect:
-		d.cleanScans = 0
-	case PathSick:
-		d.cleanScans = 0
-		d.maybeHint(c, now, func() { ch.sendCtrl(kindPathHint) })
-		d.rotateOrEscalate(c, ch.qp.QPN, now, func(err error) { ch.fail(err) })
-	}
-}
-
-// maybeHint sends the peer a PATH_HINT when this sick episode's evidence
-// is dominated by symptoms only the peer's flow-label rotation can cure
-// (RX corrupt drops, round-trip inflation). Rate-limited by the rehash
-// cooldown so a long-sick episode nudges the peer once per settle
-// window, not once per scan.
-func (d *pathDoctor) maybeHint(c *Context, now sim.Time, send func()) {
-	if send == nil || now < d.hintMuteUntil {
-		return
+// hintDue reports (and records) that the peer should get a PATH_HINT:
+// this sick episode's evidence is dominated by symptoms only the peer's
+// flow-label rotation can cure (RX corrupt drops, round-trip inflation).
+// Rate-limited by the rehash cooldown so a long-sick episode nudges the
+// peer once per settle window, not once per scan.
+func (d *pathDoctor) hintDue(c *Context, now sim.Time) bool {
+	if now < d.hintMuteUntil {
+		return false
 	}
 	if d.rxEvid == 0 || d.rxEvid < d.txEvid {
-		return
+		return false
 	}
 	d.hintMuteUntil = now.Add(c.cfg.PathRehashCooldown)
 	d.hintsSent++
 	c.Stats.PathHints++
 	c.tel.Trace.Instant("path.hint", c.track, now, 0)
 	d.log = append(d.log, fmt.Sprintf("t=%v node=%d hint-sent", now, c.Node()))
-	send()
+	return true
 }
 
 // noteHint folds a received PATH_HINT into the next scan: the peer's
@@ -365,14 +296,13 @@ func (d *pathDoctor) noteHint(c *Context, now sim.Time) {
 
 // rotateOrEscalate is the Sick-verdict remedy: rotate the flow label
 // while the episode budget lasts, otherwise count the path as terminally
-// sick and hand the QP's owner to the health machine through escalate
-// (ch.fail for exclusive channels, mx.fail for shared QPs).
-func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, escalate func(error)) {
+// sick; reports when the QP must be handed to the health machine.
+func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time) bool {
 	if now < d.cooldownUntil {
 		// Give the freshly rotated path its settle time before judging
 		// it (in-flight go-back-N recovery from the old path still bleeds
 		// into the counters).
-		return
+		return false
 	}
 	if d.rotations < c.cfg.PathRehashLimit {
 		// Seeded label choice: deterministic per run, never zero (zero
@@ -400,7 +330,7 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 			c.tel.Trace.Instant("path.rehash", c.track, now, int64(d.rotations))
 			d.log = append(d.log, fmt.Sprintf("t=%v node=%d rehash #%d", now, c.Node(), d.rotations))
 			c.logf("path doctor: qpn=%d sick (score=%d), rotated flow label (#%d)", qpn, sickScore, d.rotations)
-			return
+			return false
 		}
 	} else {
 		d.sickScans++
@@ -410,36 +340,37 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 		d.log = append(d.log, fmt.Sprintf("t=%v node=%d escalate", now, c.Node()))
 		c.logf("path doctor: qpn=%d every tried path sick, escalating to recovery", qpn)
 		d.resetEpisode()
-		escalate(ErrPathSick)
+		return true
 	}
+	return false
 }
 
 // --- channel surface ---------------------------------------------------------
 
-// doctorRef resolves the doctor that owns this channel's path: the
-// shared QP's doctor when muxed (one path, one scorer, shared by every
-// channel on the QP), the channel's own otherwise.
-func (ch *Channel) doctorRef() *pathDoctor {
-	if ch.mx != nil {
-		return &ch.mx.doctor
+// doctor returns the scorer of the QP this channel rides — shared by
+// every channel on a shared QP. A lazy descriptor has no QP yet and reads
+// as an unscored, clean path.
+func (ch *Channel) doctor() *pathDoctor {
+	if ch.b == nil {
+		return &pathDoctor{}
 	}
-	return &ch.doctor
+	return &ch.b.doctor
 }
 
 // PathVerdict reports the doctor's current classification of this
 // channel's network path.
-func (ch *Channel) PathVerdict() PathVerdict { return ch.doctorRef().verdict }
+func (ch *Channel) PathVerdict() PathVerdict { return ch.doctor().verdict }
 
 // PathScore reports the EWMA path score in centi-points (what the
 // path_score gauge exports).
-func (ch *Channel) PathScore() int64 { return int64(ch.doctorRef().score * 100) }
+func (ch *Channel) PathScore() int64 { return int64(ch.doctor().score * 100) }
 
 // Rehashes reports lifetime flow-label rotations on this channel's path.
-func (ch *Channel) Rehashes() int64 { return ch.doctorRef().rehashes }
+func (ch *Channel) Rehashes() int64 { return ch.doctor().rehashes }
 
 // FirstRehashAt reports when the doctor first rotated this channel's
 // flow label (0 = never) — drills assert the detection window with it.
-func (ch *Channel) FirstRehashAt() sim.Time { return ch.doctorRef().firstRehashAt }
+func (ch *Channel) FirstRehashAt() sim.Time { return ch.doctor().firstRehashAt }
 
 // FlowHash exposes the QP's effective ECMP flow key so experiments can
 // predict (and then brown out) the exact spine path this channel rides.
@@ -451,7 +382,7 @@ func (ch *Channel) FlowHash() uint64 {
 }
 
 // PathLog returns the doctor's deterministic verdict/rehash history.
-func (ch *Channel) PathLog() []string { return ch.doctorRef().log }
+func (ch *Channel) PathLog() []string { return ch.doctor().log }
 
 // OnPathVerdict installs an observer for verdict transitions.
 func (ch *Channel) OnPathVerdict(fn func(PathVerdict)) { ch.onPathVerdict = fn }

@@ -55,7 +55,7 @@ func parseRecoverHello(b []byte) (target, target0, dialer0 uint32, ok bool) {
 // isChannelIdentity reports whether this channel IS the one the dialing
 // peer means: the establishment-time QPN pair matches in both directions.
 func (ch *Channel) isChannelIdentity(from fabric.NodeID, target0, dialer0 uint32) bool {
-	return ch.Peer == from && len(ch.qpns) > 0 && ch.qpns[0] == target0 && ch.peerQPN0 == dialer0
+	return ch.Peer == from && len(ch.b.qpns) > 0 && ch.b.qpns[0] == target0 && ch.peerQPN0 == dialer0
 }
 
 // indexChannel records a channel's ownership of a local QPN for the
@@ -65,7 +65,7 @@ func (c *Context) indexChannel(ch *Channel, qpn uint32) {
 		return
 	}
 	c.recoverIdx[qpn] = ch
-	ch.qpns = append(ch.qpns, qpn)
+	ch.b.qpns = append(ch.b.qpns, qpn)
 }
 
 // recoverGrace bounds how long the passive side stays Degraded waiting
@@ -76,125 +76,60 @@ func (c *Context) recoverGrace() sim.Duration {
 		sim.Duration(c.cfg.RecoverRetries)*(c.cfg.RecoverDialTimeout+c.cfg.RecoverBackoffMax)
 }
 
-// recoverBackoff is the delay before dial attempt n (0-based):
-// exponential, capped, with ±25% jitter to decorrelate fleet-wide retry
-// storms after a shared fault (a downed switch degrades many channels at
-// once).
-func (ch *Channel) recoverBackoff(attempt int) sim.Duration {
-	return recoverBackoffDur(ch.ctx, attempt)
-}
-
-// recoverBackoffDur is the shared dial-backoff schedule — per-channel
-// recovery and shared-QP (mux) redials draw from the same context RNG.
-func recoverBackoffDur(c *Context, attempt int) sim.Duration {
-	cfg := &c.cfg
-	d := cfg.RecoverBackoff << uint(attempt)
-	if d <= 0 || d > cfg.RecoverBackoffMax {
-		d = cfg.RecoverBackoffMax
-	}
-	if d <= 0 {
-		d = sim.Millisecond
-	}
-	return d - d/4 + sim.Duration(c.rng.Float64()*float64(d)/2)
-}
-
 // enterDegraded parks a channel whose RDMA path failed: traffic is held
 // in the send queue, the broken QP is kept (its QPN stays the channel's
-// identity until a replacement is adopted), and re-establishment begins.
+// identity until a replacement is adopted), and the lower node id dials.
 func (ch *Channel) enterDegraded(cause error) {
-	c := ch.ctx
-	now := c.eng.Now()
-	ch.setHealth(HealthDegraded)
-	ch.degradedAt = now
-	ch.recAttempts = 0
-	ch.recEpoch++
-	c.Stats.Degraded++
-	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), ch.qp.QPN)
-	c.tel.Trace.Instant("ch.degraded", c.track, now, int64(ch.Peer))
-	c.logf("channel qpn=%d peer=%d degraded: %v", ch.qp.QPN, ch.Peer, cause)
-
-	// The receive pool is useless while the QP is broken (and may be
-	// gone entirely after a NIC restart); fresh buffers arrive with the
-	// replacement connection.
-	for id, buf := range ch.recvBufs {
-		delete(ch.recvBufs, id)
-		c.Mem.Free(buf)
-	}
-	ch.cancelAck()
-	ch.kaProbing = false
-	ch.nopInFlight = false
-	ch.stallFlag = false
-
-	if c.Node() < ch.Peer {
-		ch.scheduleRecoverDial(cause)
-		return
-	}
-	// Passive side: wait for the dialer, bounded.
-	epoch := ch.recEpoch
-	c.eng.AfterBg(c.recoverGrace(), func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
-		ch.proceedToFallback(cause)
-	})
+	ch.b.degrade(cause, ch.ctx.Node() < ch.Peer)
 }
 
-func (ch *Channel) scheduleRecoverDial(cause error) {
-	c := ch.ctx
-	if ch.recAttempts >= c.cfg.RecoverRetries {
-		ch.proceedToFallback(cause)
-		return
-	}
-	epoch := ch.recEpoch
-	c.eng.AfterBg(ch.recoverBackoff(ch.recAttempts), func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
-		ch.tryRecover(cause)
-	})
+// The exclusive channel is its binding's plane (binding.go): it scores
+// and probes only while healthy on RDMA, the lower node id dials through
+// the QP cache, and giving up means the Mock fallback.
+
+func (ch *Channel) gone() bool { return ch.closed }
+
+func (ch *Channel) serving() bool {
+	return !ch.closed && ch.mock == nil && ch.health == HealthHealthy
 }
 
-// tryRecover runs one re-establishment dial through the QP cache.
-func (ch *Channel) tryRecover(cause error) {
-	c := ch.ctx
-	if !c.vctx.NIC.Alive() {
-		// The local machine itself is down; a restart revives the NIC,
-		// so keep re-arming within the budget.
-		ch.recAttempts++
-		ch.scheduleRecoverDial(cause)
-		return
+// probeable also excludes a passive side holding its replay: a probe
+// posted before the dialer's QP reaches RTS would race its RTR transition.
+func (ch *Channel) probeable() bool { return ch.serving() && !ch.resumeOnRx }
+
+func (ch *Channel) appendRiders(dst []*Channel) []*Channel {
+	if ch.closed {
+		return dst
 	}
-	ch.setHealth(HealthRecovering)
-	ch.recAttempts++
-	c.Stats.RecoverAttempts++
-	ch.recEpoch++
-	epoch := ch.recEpoch
-	ch.dialReplacement(epoch, func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
+	return append(dst, ch)
+}
+
+func (ch *Channel) sendPathHint() { ch.sendCtrl(kindPathHint) }
+
+func (ch *Channel) setDialing(on bool) {
+	if on {
+		ch.setHealth(HealthRecovering)
+	} else {
 		ch.setHealth(HealthDegraded)
-		ch.scheduleRecoverDial(cause)
-	})
+	}
 }
 
-// dialReplacement dials the peer's recovery listener and adopts the
-// resulting connection. The CM has no cancellation, so the attempt owns
-// an epoch and a settled flag: the dial timeout claims the attempt
-// first on a dead peer, and a late completion quietly returns whatever
-// resources it acquired.
-func (ch *Channel) dialReplacement(epoch uint64, onFail func()) {
+// redial dials the peer's recovery listener and adopts the resulting
+// connection. The CM has no cancellation, so the attempt owns an epoch
+// and a settled flag: the dial timeout — armed once the receive buffers
+// are allocated — claims the attempt first on a dead peer, and a late
+// completion quietly returns whatever resources it acquired.
+func (ch *Channel) redial(epoch uint64, onFail func()) {
 	c := ch.ctx
-	stale := func() bool { return ch.closed || ch.recEpoch != epoch }
 	c.allocRecvBufs(func(bufs []Buffer) {
-		if stale() {
+		if ch.b.stale(epoch) {
 			c.freeBufs(bufs)
 			onFail()
 			return
 		}
 		settled := false
 		c.eng.AfterBg(c.cfg.RecoverDialTimeout, func() {
-			if settled || stale() {
+			if settled || ch.b.stale(epoch) {
 				return
 			}
 			settled = true
@@ -203,7 +138,7 @@ func (ch *Channel) dialReplacement(epoch uint64, onFail func()) {
 		})
 		qp := c.QPs.Get()
 		done := func(conn *verbs.Conn, err error) {
-			if settled || stale() {
+			if settled || ch.b.stale(epoch) {
 				// Late completion after timeout/adoption/teardown.
 				if err == nil {
 					c.QPs.Put(conn.QP)
@@ -224,8 +159,8 @@ func (ch *Channel) dialReplacement(epoch uint64, onFail func()) {
 			ch.adopt(conn, bufs, true)
 		}
 		var own0 uint32
-		if len(ch.qpns) > 0 {
-			own0 = ch.qpns[0]
+		if len(ch.b.qpns) > 0 {
+			own0 = ch.b.qpns[0]
 		}
 		hello := recoverHello(ch.peerQPN, ch.peerQPN0, own0)
 		if qp != nil {
@@ -296,12 +231,8 @@ func (c *Context) listenRecover() {
 }
 
 // adopt installs a freshly established replacement connection: the
-// broken QP (or the mock transport) is surrendered, the replacement
-// posts a fresh receive pool, and the unacked windowed tail requeues for
-// replay. The dialer pumps immediately and sends a NOP beacon; the
-// passive side holds its replay until the beacon (or any RDMA traffic)
-// proves the dialer's QP reached RTS, because sends posted earlier would
-// race the dialer's RTR transition.
+// broken QP (or the mock transport) is surrendered, the replacement posts
+// a fresh receive pool, and the channel resumes on it (binding.go).
 func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 	c := ch.ctx
 	now := c.eng.Now()
@@ -319,14 +250,12 @@ func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 		c.tel.Flight.Record(now, telemetry.CatFailback, int32(c.Node()), conn.QP.QPN, int64(ch.Peer), 0)
 		c.tel.Trace.Instant("ch.failback", c.track, now, int64(ch.Peer))
 	} else {
+		// A rehydrated channel (drain.go) adopting its first post-restart
+		// transport has no QP yet: it was filed under the last QPN it
+		// owned before the restart.
+		c.dropChannel(ch)
 		if ch.qp != nil {
-			delete(c.channels, ch.qp.QPN)
 			c.QPs.Put(ch.qp)
-		} else if n := len(ch.qpns); n > 0 && c.channels[ch.qpns[n-1]] == ch {
-			// Rehydrated channel (drain.go) adopting its first post-restart
-			// transport: it was parked in the table under the last QPN it
-			// owned before the restart.
-			delete(c.channels, ch.qpns[n-1])
 		}
 		outage := now.Sub(ch.degradedAt)
 		c.recHist.Observe(int64(outage))
@@ -334,8 +263,9 @@ func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 	}
 	ch.unregisterGauges()
 	ch.qp = conn.QP
+	ch.b.qp = conn.QP
 	ch.peerQPN = conn.QP.RemoteQPN
-	c.channels[ch.qp.QPN] = ch
+	c.putChannel(ch)
 	c.indexChannel(ch, ch.qp.QPN)
 	if ch.recvBufs == nil && len(bufs) > 0 {
 		ch.recvBufs = make(map[uint64]Buffer, len(bufs))
@@ -349,29 +279,11 @@ func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 		}
 	}
 	ch.registerGauges()
-	ch.recEpoch++
-	ch.recAttempts = 0
-	ch.kaProbing = false
-	ch.nopInFlight = false
-	ch.stallFlag = false
-	ch.lastComm = now
-	ch.lastProgress = now
-	ch.pulls = nil // lazily re-created on the next rendezvous announce
+	ch.b.adopted(now)
 	c.Stats.Recoveries++
 	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), ch.qp.QPN, int64(ch.Peer), int64(now.Sub(ch.degradedAt)))
 	c.logf("channel peer=%d recovered on qpn=%d after %v (failback=%v)", ch.Peer, ch.qp.QPN, now.Sub(ch.degradedAt), failback)
-	ch.requeueUnacked()
-	// The adopted QP starts with zero counters and a full rotation
-	// budget; the doctor must not blame it for the old path's symptoms.
-	ch.doctor.resetEpisode()
-	ch.setHealth(HealthHealthy)
-	if initiator {
-		ch.resumeOnRx = false
-		ch.sendCtrl(kindNop) // beacon: our QP is RTS
-		ch.pump()
-	} else {
-		ch.resumeOnRx = true
-	}
+	ch.resume(now, initiator)
 }
 
 // requeueUnacked rewinds the send window to the ack edge and moves the
@@ -403,9 +315,9 @@ func (ch *Channel) requeueUnacked() {
 	ch.tenantRewind()
 }
 
-// proceedToFallback gives up on RDMA re-establishment: Mock when
-// configured, terminal teardown otherwise.
-func (ch *Channel) proceedToFallback(cause error) {
+// giveUp gives up on RDMA re-establishment: Mock when configured,
+// terminal teardown otherwise.
+func (ch *Channel) giveUp(cause error) {
 	c := ch.ctx
 	if ch.closed || ch.mock != nil {
 		return
@@ -428,9 +340,9 @@ func (ch *Channel) armFailback() {
 	}
 	d := c.cfg.FailbackInterval
 	d += sim.Duration(c.rng.Float64() * float64(d) / 4)
-	epoch := ch.recEpoch
+	epoch := ch.b.epoch
 	c.eng.AfterBg(d, func() {
-		if ch.closed || ch.mock == nil || !ch.mock.ready || ch.recEpoch != epoch {
+		if ch.b.stale(epoch) || ch.mock == nil || !ch.mock.ready {
 			return
 		}
 		ch.tryFailback()
@@ -448,9 +360,8 @@ func (ch *Channel) tryFailback() {
 	}
 	ch.setHealth(HealthRecovering)
 	c.Stats.RecoverAttempts++
-	ch.recEpoch++
-	epoch := ch.recEpoch
-	ch.dialReplacement(epoch, func() {
+	ch.b.epoch++
+	ch.redial(ch.b.epoch, func() {
 		if ch.closed || ch.mock == nil {
 			return
 		}

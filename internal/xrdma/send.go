@@ -297,8 +297,7 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		ch.mock.conn.Send(buf, wireLen, nil)
 		ch.Counters.MsgsSent++
 		ch.Counters.BytesSent += int64(ps.size)
-		ch.lastComm = c.eng.Now()
-		c.tel.Trace.Instant("msg.send", c.track, ch.lastComm, int64(ps.size))
+		c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(ps.size))
 		if h.Flags&flagTraced != 0 {
 			c.trace.onSend(ch, &h)
 		}
@@ -334,8 +333,9 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	}
 	ch.Counters.MsgsSent++
 	ch.Counters.BytesSent += int64(ps.size)
-	ch.lastComm = c.eng.Now()
-	c.tel.Trace.Instant("msg.send", c.track, ch.lastComm, int64(ps.size))
+	now := c.eng.Now()
+	ch.touch(now)
+	c.tel.Trace.Instant("msg.send", c.track, now, int64(ps.size))
 	if h.Flags&flagTraced != 0 {
 		c.trace.onSend(ch, &h)
 	}
@@ -432,7 +432,6 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 			ch.ctx.Stats.AcksSent++
 		}
 		ch.noteAckCarried()
-		ch.lastComm = ch.ctx.eng.Now()
 		return
 	}
 	if ch.health != HealthHealthy || ch.resumeOnRx {
@@ -447,7 +446,7 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 		ch.ctx.Stats.AcksSent++
 	}
 	ch.noteAckCarried()
-	ch.lastComm = ch.ctx.eng.Now()
+	ch.touch(ch.ctx.eng.Now())
 }
 
 // noteAckCarried records that the current RTA went out with some message.
@@ -475,7 +474,7 @@ func (ch *Channel) maybeAck() {
 
 func (ch *Channel) handleInbound(cqe rnic.CQE) {
 	c := ch.ctx
-	ch.lastComm = c.eng.Now()
+	ch.touch(c.eng.Now())
 	h, hdrLen, err := decodeHdr(cqe.Data)
 	ch.repostRecv(cqe.WRID)
 	if err != nil {
@@ -540,7 +539,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		ch.nopInFlight = false
 	case kindPathHint:
 		// The peer's doctor blames the path our flow label picks.
-		ch.doctorRef().noteHint(c, c.eng.Now())
+		ch.doctor().noteHint(c, c.eng.Now())
 	case kindNop:
 		// Deadlock breaker: answer with an immediate ack.
 		ch.sendCtrl(kindAck)
@@ -769,7 +768,7 @@ func (ch *Channel) deliver(msg *Msg) {
 					ch.retryTokens = retryBudgetCap
 				}
 			}
-			ch.doctorRef().observeRTT(c.eng.Now().Sub(rs.sentAt))
+			ch.doctor().observeRTT(c.eng.Now().Sub(rs.sentAt))
 			if t := ch.tenant; t != nil {
 				t.RTTCount++
 				t.RTTSumNs += int64(c.eng.Now().Sub(rs.sentAt))

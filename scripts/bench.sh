@@ -7,7 +7,7 @@
 # RNIC send path's and the one-sided READ requester path's. TracedSendPath
 # is informational: its delta against UntracedSendPath is the armed cost
 # of the blame plane.
-# IdleChannelFootprint's contract is bytes/conn <= 1024 (the flyweight
+# IdleChannelFootprint's contract is bytes/conn <= 768 (the flyweight
 # channel budget, also CI-gated). ClassicRPC and MuxSharedQPSend are one
 # request/response round trip through the classic and the shared-QP
 # plane; CI gates their allocs/op at fixed ceilings (5 and 8).
